@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ppr_cluster::{Cluster, ClusterConfig, ParallelismMode};
 use ppr_core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use ppr_core::PprConfig;
-use ppr_serve::{PprServer, Request, ServeConfig, ShardedPprServer};
+use ppr_serve::{PprServer, Request, ServeConfig};
 use ppr_workload::{Dataset, ZipfQueryStream};
 use std::hint::black_box;
 
@@ -107,7 +107,7 @@ fn scaling(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         group.bench_function(&format!("server_batch_64_workers_{workers}"), |b| {
             b.iter(|| {
-                let mut s = ShardedPprServer::new(
+                let mut s = PprServer::new(
                     &hgpa,
                     ServeConfig {
                         cache_capacity_bytes: 0,

@@ -11,7 +11,7 @@
 //!    counts, and the wall-clock speedup of every worker count over one;
 //! 2. **query fan-out**: batched `Cluster::query_many` rounds at the
 //!    same sweep;
-//! 3. **serving**: the Zipf request stream through `ShardedPprServer`
+//! 3. **serving**: the Zipf request stream through a sharded `PprServer`
 //!    at the same sweep, closed (when running as the `repro` binary)
 //!    by a socket-transport phase whose modeled and measured reply-byte
 //!    totals are both exact-gated —

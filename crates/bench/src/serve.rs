@@ -39,7 +39,7 @@
 //!   worker supervisor (default 500)
 //!
 //! A **thread-scaling phase** closes the report: the same request stream
-//! through [`ppr_serve::ShardedPprServer`] at each `PPR_SERVE_SHARDS`
+//! through a sharded [`ppr_serve::PprServer`] at each `PPR_SERVE_SHARDS`
 //! count (reader shards *and* cluster fan-out workers), wall-clock
 //! timed, with throughput/p50/p99 and the speedup over one worker. On a
 //! single-core host the speedup hovers near 1x — the phase measures the
@@ -57,7 +57,7 @@ use ppr_core::PprConfig;
 use ppr_graph::CsrGraph;
 use ppr_serve::{
     run_open_loop, BatchOutcome, DynamicPprServer, OpenLoopConfig, OpenLoopReport, PprServer,
-    Request, Response, ServeConfig, ServeEvent, ServiceModel, ShardedPprServer,
+    Request, Response, ServeConfig, ServeEvent, ServiceModel,
 };
 use ppr_workload::{Dataset, MixedEvent, MixedStream, MixedStreamConfig, ZipfQueryStream};
 use std::sync::Arc;
@@ -278,19 +278,21 @@ fn summarize(
     }
 }
 
-/// Drive `requests` through a fresh (single-shard, sequential-assembly)
-/// server over `index`.
-pub fn measure<I: DistributedQueryable>(
+/// Drive `requests` through a fresh [`PprServer`] over `index` whose
+/// shards and parallelism come from `shape` (cache and batch size from
+/// `knobs`).
+fn measure_with<I: DistributedQueryable>(
     index: &I,
     requests: &[Request],
     knobs: &ServeKnobs,
+    shape: ServeConfig,
 ) -> ServeSummary {
     let mut server = PprServer::new(
         index,
         ServeConfig {
             cache_capacity_bytes: knobs.cache_bytes,
             max_batch: knobs.batch,
-            ..Default::default()
+            ..shape
         },
     );
     let (latencies, seconds) = drive_batches(requests, knobs.batch, |b| server.run_batch(b));
@@ -298,7 +300,17 @@ pub fn measure<I: DistributedQueryable>(
     summarize(requests.len(), &latencies, seconds, &stats, server.cache_bytes())
 }
 
-/// Drive `requests` through a fresh [`ShardedPprServer`] with `workers`
+/// Drive `requests` through a fresh (single-shard, sequential-assembly)
+/// server over `index`.
+pub fn measure<I: DistributedQueryable>(
+    index: &I,
+    requests: &[Request],
+    knobs: &ServeKnobs,
+) -> ServeSummary {
+    measure_with(index, requests, knobs, ServeConfig::default())
+}
+
+/// Drive `requests` through a fresh [`PprServer`] with `workers`
 /// reader shards and `workers` cluster fan-out threads (`workers == 1`
 /// is the sequential fallback), wall-clock timed — the thread-scaling
 /// measurement.
@@ -308,19 +320,12 @@ pub fn measure_sharded<I: DistributedQueryable>(
     knobs: &ServeKnobs,
     workers: usize,
 ) -> ServeSummary {
-    let mut server = ShardedPprServer::new(
-        index,
-        ServeConfig {
-            cache_capacity_bytes: knobs.cache_bytes,
-            max_batch: knobs.batch,
-            shards: workers,
-            parallelism: ParallelismMode::with_workers(workers),
-            ..Default::default()
-        },
-    );
-    let (latencies, seconds) = drive_batches(requests, knobs.batch, |b| server.run_batch(b));
-    let stats = *server.stats();
-    summarize(requests.len(), &latencies, seconds, &stats, server.cache_bytes())
+    let shape = ServeConfig {
+        shards: workers,
+        parallelism: ParallelismMode::with_workers(workers),
+        ..Default::default()
+    };
+    measure_with(index, requests, knobs, shape)
 }
 
 /// Outcome of the socket-transport phase: the same stream served once on

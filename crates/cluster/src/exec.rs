@@ -1,17 +1,37 @@
 //! Query execution across simulated machines.
 //!
-//! A query fans out to every simulated machine; each computes its share
-//! of Eq. 5/7 from locally-stored vectors (real, measured work), ships
-//! one sparse vector to the coordinator (counted in bytes), and the
-//! coordinator sums (real, measured work). The machines are **not**
-//! separate threads: they execute sequentially in the caller's thread and
-//! are timed individually, so that on a shared (possibly single-core)
-//! host each machine's measured compute time still reflects what a
-//! dedicated machine would spend — see [`Cluster::query_preference`].
-//! Concurrency across machines is then *modeled* by taking the maximum
-//! of those per-machine times, exactly how §6.2.2 reports runtime.
+//! The paper's query path is a single shape (Eq. 5/7, one communication
+//! round): every machine computes its share from locally-stored vectors
+//! (real, measured work), ships one reply vector per source to the
+//! coordinator (counted in bytes), and the coordinator sums them in
+//! machine order (real, measured work). This module spells that shape
+//! out **once**, in the private `Cluster::round`; every public entry
+//! point is a thin wrapper choosing *what* is asked and what happens
+//! when a machine cannot answer:
 //!
-//! The paper's headline metrics map to [`ClusterQueryReport`] fields:
+//! * [`Cluster::query`] / [`Cluster::query_preference`] /
+//!   [`Cluster::query_batch`] — one source or one weighted preference
+//!   set per round, the paper's per-query figures
+//!   ([`ClusterQueryReport`]);
+//! * [`Cluster::query_many`] — the serving-path round: a whole batch of
+//!   distinct sources in one fan-out, amortizing the round latency and
+//!   the per-machine scratch allocations (`ppr-serve` batches on top);
+//! * [`Cluster::try_query_many`] — the same round, except that machine
+//!   failures (scripted by a [`FaultPlan`] or real, over sockets) are
+//!   *reported* in the [`FanoutOutcome`] instead of being computed
+//!   around. The other entry points promise an exact answer, so for
+//!   them a machine the transport could not reach is computed locally
+//!   from the coordinator's own index copy — same bits.
+//!
+//! The round has one transport branch: an attached [`SocketCluster`]
+//! with a matching machine count (real worker processes, measured frame
+//! bytes), else the in-process `fan_out` (modeled wire, bytes from the
+//! shared [`reply_frame_bytes`] formula, which pins the two equal). Both
+//! yield the same per-machine replies, so everything downstream — the
+//! statistics, the sum, the modeled network time — exists once and
+//! answers are bit-identical across transports.
+//!
+//! The paper's headline metrics map to report fields:
 //!
 //! * "Runtime" (Figures 10/14/21/23…): [`ClusterQueryReport::runtime_seconds`]
 //!   — maximum machine compute time, plus coordinator aggregation, as
@@ -19,27 +39,23 @@
 //! * "Communication Cost" (Figures 13/22…): total bytes received by the
 //!   coordinator, [`ClusterQueryReport::total_bytes`].
 //!
-//! [`Cluster::query_many`] is the serving-path variant: one fan-out round
-//! answers a whole *batch* of distinct sources, amortizing the per-round
-//! latency and the per-machine scratch allocations (`ppr-serve` builds
-//! its request batching on top of it).
-//!
 //! ## Modeled vs real concurrency
 //!
-//! Under [`ParallelismMode::Sequential`] (the default) machines execute
-//! one after another in the caller's thread and concurrency is *modeled*
-//! by taking the max of the individually measured per-machine times —
-//! the only measurement mode whose per-machine numbers reflect dedicated
-//! hardware on a shared host. Under [`ParallelismMode::Threads`] the
-//! fan-out is *real*: one scoped worker thread per simulated machine (up
-//! to the worker cap), each with its own reusable [`Scratch`] arena, so
+//! Under [`ParallelismMode::Sequential`] (the default) in-process
+//! machines execute one after another in the caller's thread, timed
+//! individually, and concurrency is *modeled* by taking the max of the
+//! per-machine times — the only measurement mode whose per-machine
+//! numbers reflect dedicated hardware on a shared (possibly single-core)
+//! host. Under [`ParallelismMode::Threads`] the fan-out is *real*: one
+//! scoped worker thread per simulated machine (up to the worker cap),
+//! each with its own reusable [`Scratch`] arena, so
 //! [`ClusterQueryReport::wall_seconds`] approaches the slowest machine's
 //! time on a host with enough cores. Replies are bit-identical either
 //! way: machines share nothing but the read-only index and the
 //! coordinator always sums in machine order.
 
 use crate::fault::{simulate_attempts, FanoutOutcome, FaultPlan, MachineOutcome, ResilienceConfig};
-use crate::socket::SocketCluster;
+use crate::socket::{MachineReply, RoundKind, SocketCluster};
 use crate::{ClusterConfig, NetworkModel, ParallelismMode};
 use ppr_core::gpa::GpaIndex;
 use ppr_core::hgpa::HgpaIndex;
@@ -57,35 +73,24 @@ pub trait DistributedQueryable: Sync {
     fn machines(&self) -> usize;
     /// Number of graph nodes.
     fn node_count(&self) -> usize;
-    /// The reply vector machine `machine` computes for query `u`.
-    fn machine_vector(&self, u: NodeId, machine: u32) -> SparseVector;
-    /// The reply vector for a weighted preference-set query (linearity).
-    fn machine_vector_preference(
-        &self,
-        preference: &[(NodeId, f64)],
-        machine: u32,
-    ) -> SparseVector;
 
-    /// [`DistributedQueryable::machine_vector_preference`] accumulating
-    /// into a caller-owned [`Scratch`] arena. The default ignores the
-    /// arena and falls back to a fresh allocation; indexes override it so
-    /// a fan-out worker pays the O(n) dense allocation once per round
-    /// rather than once per source.
+    /// The reply vector machine `machine` computes for a weighted
+    /// preference-set query (linearity; a single source is the set
+    /// `[(u, 1.0)]`), accumulated through a caller-owned [`Scratch`]
+    /// arena so a fan-out worker pays the O(n) dense allocation once per
+    /// round rather than once per source.
     fn machine_vector_preference_into(
         &self,
         preference: &[(NodeId, f64)],
         machine: u32,
         scratch: &mut Scratch,
-    ) -> SparseVector {
-        let _ = scratch;
-        self.machine_vector_preference(preference, machine)
-    }
+    ) -> SparseVector;
 
     /// Reply vectors machine `machine` computes for a batch of distinct
     /// sources — one fan-out round, one reply vector *per source* (unlike
-    /// [`DistributedQueryable::machine_vector_preference`], which folds a
-    /// weighted set into a single combined reply), all accumulated
-    /// through the one caller-owned [`Scratch`] arena.
+    /// [`DistributedQueryable::machine_vector_preference_into`], which
+    /// folds a weighted set into a single combined reply), all
+    /// accumulated through the one caller-owned [`Scratch`] arena.
     fn machine_vectors_into(
         &self,
         sources: &[NodeId],
@@ -97,14 +102,6 @@ pub trait DistributedQueryable: Sync {
             .map(|&u| self.machine_vector_preference_into(&[(u, 1.0)], machine, scratch))
             .collect()
     }
-
-    /// Reply vectors for a batch of distinct sources, sharing one scratch
-    /// arena across the whole batch (one O(n) dense allocation per
-    /// machine per round, not per source).
-    fn machine_vectors(&self, sources: &[NodeId], machine: u32) -> Vec<SparseVector> {
-        let mut scratch = Scratch::with_len(self.node_count());
-        self.machine_vectors_into(sources, machine, &mut scratch)
-    }
 }
 
 impl DistributedQueryable for GpaIndex {
@@ -113,16 +110,6 @@ impl DistributedQueryable for GpaIndex {
     }
     fn node_count(&self) -> usize {
         GpaIndex::node_count(self)
-    }
-    fn machine_vector(&self, u: NodeId, machine: u32) -> SparseVector {
-        GpaIndex::machine_vector(self, u, machine)
-    }
-    fn machine_vector_preference(
-        &self,
-        preference: &[(NodeId, f64)],
-        machine: u32,
-    ) -> SparseVector {
-        GpaIndex::machine_vector_preference(self, preference, machine)
     }
     fn machine_vector_preference_into(
         &self,
@@ -140,16 +127,6 @@ impl DistributedQueryable for HgpaIndex {
     }
     fn node_count(&self) -> usize {
         HgpaIndex::node_count(self)
-    }
-    fn machine_vector(&self, u: NodeId, machine: u32) -> SparseVector {
-        HgpaIndex::machine_vector(self, u, machine)
-    }
-    fn machine_vector_preference(
-        &self,
-        preference: &[(NodeId, f64)],
-        machine: u32,
-    ) -> SparseVector {
-        HgpaIndex::machine_vector_preference(self, preference, machine)
     }
     fn machine_vector_preference_into(
         &self,
@@ -177,22 +154,6 @@ impl DistributedQueryable for ppr_core::persist::PersistedIndex {
             Self::Hgpa(i) => HgpaIndex::node_count(i),
         }
     }
-    fn machine_vector(&self, u: NodeId, machine: u32) -> SparseVector {
-        match self {
-            Self::Gpa(i) => GpaIndex::machine_vector(i, u, machine),
-            Self::Hgpa(i) => HgpaIndex::machine_vector(i, u, machine),
-        }
-    }
-    fn machine_vector_preference(
-        &self,
-        preference: &[(NodeId, f64)],
-        machine: u32,
-    ) -> SparseVector {
-        match self {
-            Self::Gpa(i) => GpaIndex::machine_vector_preference(i, preference, machine),
-            Self::Hgpa(i) => HgpaIndex::machine_vector_preference(i, preference, machine),
-        }
-    }
     fn machine_vector_preference_into(
         &self,
         preference: &[(NodeId, f64)],
@@ -206,21 +167,30 @@ impl DistributedQueryable for ppr_core::persist::PersistedIndex {
     }
 }
 
-/// Per-machine execution record for one query.
-#[derive(Clone, Copy, Debug)]
+/// Per-machine execution record for one round.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MachineStats {
     /// Seconds this machine spent computing its reply (real). The maximum
     /// across machines is the per-machine component of the paper's
     /// "runtime" metric (Figures 10/14/21/23).
     pub compute_seconds: f64,
-    /// Bytes of the reply vector (serialized size); summed over machines
+    /// Bytes of the reply frame (serialized size); summed over machines
     /// this is the paper's "communication cost" (Figures 13/22).
     pub bytes_sent: u64,
-    /// Entries in the reply vector (the nnz behind `bytes_sent`).
+    /// Entries in the reply vectors (the nnz behind `bytes_sent`).
     pub entries: usize,
 }
 
-/// Everything measured for one distributed query.
+fn max_machine_seconds(machines: &[MachineStats]) -> f64 {
+    machines
+        .iter()
+        .map(|m| m.compute_seconds)
+        .fold(0.0, f64::max)
+}
+
+/// Everything measured for one single-result round ([`Cluster::query`],
+/// [`Cluster::query_preference`]): the one-result view of a
+/// [`ClusterBatchReport`].
 #[derive(Clone, Debug)]
 pub struct ClusterQueryReport {
     /// The exact PPV (sum of machine replies).
@@ -253,10 +223,7 @@ impl ClusterQueryReport {
 
     /// Maximum per-machine compute time.
     pub fn max_machine_seconds(&self) -> f64 {
-        self.machines
-            .iter()
-            .map(|m| m.compute_seconds)
-            .fold(0.0, f64::max)
+        max_machine_seconds(&self.machines)
     }
 
     /// Total bytes the coordinator received — the paper's communication
@@ -270,6 +237,86 @@ impl ClusterQueryReport {
     pub fn modeled_end_to_end_seconds(&self) -> f64 {
         self.max_machine_seconds() + self.modeled_network_seconds + self.coordinator_seconds
     }
+}
+
+/// Everything measured for one fan-out round: one result per requested
+/// source, the round's costs amortized over the whole batch, and the
+/// [`FanoutOutcome`] saying which machines answered. An all-answered
+/// outcome *is* the healthy case — [`Cluster::query_many`] always
+/// returns one; [`Cluster::try_query_many`] may not.
+#[derive(Clone, Debug)]
+pub struct ClusterBatchReport {
+    /// Per-source sums over the machines that answered, in machine
+    /// order. Exact PPVs iff [`ClusterBatchReport::complete`]; partial
+    /// sums otherwise (the serving layer must not treat them as answers).
+    pub results: Vec<SparseVector>,
+    /// Which machines answered, with their modeled delivery timelines.
+    pub outcome: FanoutOutcome,
+    /// Per-machine compute/traffic records for the whole batch (a
+    /// machine whose scripted reply was lost still computed; one the
+    /// socket transport never reached records zeros).
+    pub machines: Vec<MachineStats>,
+    /// Seconds the coordinator spent summing delivered replies (real).
+    pub coordinator_seconds: f64,
+    /// Modeled wire time for the *delivered* bytes of the round.
+    pub modeled_network_seconds: f64,
+    /// Extra modeled delay attributable to the fault plan (deadline
+    /// waits, backoff, straggling) beyond a fault-free round. Exactly
+    /// `0.0` when no fault was scripted — real socket faults are
+    /// measured in `wall_seconds`, not modeled.
+    pub modeled_fault_seconds: f64,
+    /// Real elapsed seconds of the whole batched round in this process
+    /// (see [`ClusterQueryReport::wall_seconds`]).
+    pub wall_seconds: f64,
+}
+
+impl ClusterBatchReport {
+    /// Batch runtime under the paper's metric: max machine compute +
+    /// coordinator aggregation (one round for the whole batch).
+    pub fn runtime_seconds(&self) -> f64 {
+        max_machine_seconds(&self.machines) + self.coordinator_seconds
+    }
+
+    /// Did every machine answer (making `results` exact PPVs)?
+    pub fn complete(&self) -> bool {
+        self.outcome.complete()
+    }
+
+    /// Bytes that actually reached the coordinator for the batch.
+    pub fn total_bytes(&self) -> u64 {
+        self.machines
+            .iter()
+            .zip(&self.outcome.machines)
+            .filter(|(_, o)| o.answered)
+            .map(|(s, _)| s.bytes_sent)
+            .sum()
+    }
+
+    fn into_single(mut self) -> ClusterQueryReport {
+        ClusterQueryReport {
+            // A preference round owes exactly one vector per machine.
+            result: self.results.pop().unwrap_or_default(),
+            machines: self.machines,
+            coordinator_seconds: self.coordinator_seconds,
+            modeled_network_seconds: self.modeled_network_seconds,
+            wall_seconds: self.wall_seconds,
+        }
+    }
+}
+
+/// What a round does about a machine that could not answer — the one
+/// behavioural difference between the entry points.
+#[derive(Clone, Copy, PartialEq)]
+enum OnMissing {
+    /// The caller was promised an exact answer: the fault plan is not
+    /// consulted (a scripted loss would be recomputed to the same bits
+    /// anyway) and a machine the socket transport exhausted its attempts
+    /// on is computed by the coordinator from its own index copy.
+    ComputeLocally,
+    /// Failures, scripted or real, are reported in the
+    /// [`FanoutOutcome`]; the serving layer's degrade path owns the
+    /// decision. These rounds advance the fail-window round counter.
+    Report,
 }
 
 /// Run `compute` for machines `0..machines`, returning per-machine
@@ -439,68 +486,25 @@ impl Cluster {
         self.round.load(Ordering::Relaxed)
     }
 
-    /// Execute one query: fan out to machine threads, gather, sum.
+    /// Execute one query: fan out to the machines, gather, sum.
     pub fn query<I: DistributedQueryable>(&self, index: &I, u: NodeId) -> ClusterQueryReport {
         self.query_preference(index, &[(u, 1.0)])
     }
 
     /// Execute a weighted preference-set query (the paper's general `P`):
     /// still one communication round — each machine folds every preference
-    /// member into its single reply.
-    ///
-    /// In the default [`ParallelismMode::Sequential`] mode machines run
-    /// **sequentially, timed individually**: on a shared host (possibly a
-    /// single core) this is the only measurement where a machine's
-    /// compute time reflects what a dedicated machine would spend. The
-    /// paper's "runtime" metric is the maximum of these plus the
-    /// coordinator's aggregation, which models machines running
-    /// concurrently on their own hardware. Under
-    /// [`ParallelismMode::Threads`] the machines really run concurrently
-    /// (bit-identical result; see
-    /// [`ClusterQueryReport::wall_seconds`]).
+    /// member into its single reply. Always exact.
     pub fn query_preference<I: DistributedQueryable>(
         &self,
         index: &I,
         preference: &[(NodeId, f64)],
     ) -> ClusterQueryReport {
-        if let Some(sock) = self.socket.as_deref() {
-            if sock.machines() == index.machines() {
-                return self.query_preference_socket(sock, index, preference);
-            }
-        }
-        let t_round = Stopwatch::start();
-        let machines = index.machines();
-        let replies: Vec<(SparseVector, f64)> =
-            fan_out(machines, self.parallelism, |m, scratch| {
-                index.machine_vector_preference_into(preference, m, scratch)
-            });
-
-        let stats: Vec<MachineStats> = replies
-            .iter()
-            .map(|(v, secs)| MachineStats {
-                compute_seconds: *secs,
-                bytes_sent: reply_frame_bytes(std::slice::from_ref(v)),
-                entries: v.nnz(),
-            })
-            .collect();
-        let total_bytes: u64 = stats.iter().map(|s| s.bytes_sent).sum();
-
-        // Coordinator: sum the replies into a dense accumulator.
-        let t = Stopwatch::start();
-        let mut scratch = Scratch::with_len(index.node_count());
-        for (v, _) in &replies {
-            scratch.scatter(v, 1.0);
-        }
-        let result = scratch.harvest();
-        let coordinator_seconds = t.elapsed_seconds();
-
-        ClusterQueryReport {
-            result,
-            machines: stats,
-            coordinator_seconds,
-            modeled_network_seconds: self.network.receive_seconds(total_bytes, machines),
-            wall_seconds: t_round.elapsed_seconds(),
-        }
+        self.round(
+            index,
+            RoundKind::Preference(preference),
+            OnMissing::ComputeLocally,
+        )
+        .into_single()
     }
 
     /// Run a batch of queries, returning per-query reports.
@@ -524,455 +528,178 @@ impl Cluster {
     /// each machine's scratch allocations amortize across the batch. The
     /// coordinator then sums per source. Sources must be distinct — the
     /// caller (e.g. `ppr-serve`) dedupes so repeated sources are computed
-    /// once.
+    /// once. Always exact: the report is [`ClusterBatchReport::complete`].
     pub fn query_many<I: DistributedQueryable>(
         &self,
         index: &I,
         sources: &[NodeId],
     ) -> ClusterBatchReport {
-        if let Some(sock) = self.socket.as_deref() {
-            if sock.machines() == index.machines() {
-                return self.query_many_socket(sock, index, sources);
-            }
-        }
-        let t_round = Stopwatch::start();
-        let machines = index.machines();
-        let replies: Vec<(Vec<SparseVector>, f64)> =
-            fan_out(machines, self.parallelism, |m, scratch| {
-                index.machine_vectors_into(sources, m, scratch)
-            });
-
-        let stats: Vec<MachineStats> = replies
-            .iter()
-            .map(|(vs, secs)| MachineStats {
-                compute_seconds: *secs,
-                bytes_sent: reply_frame_bytes(vs),
-                entries: vs.iter().map(SparseVector::nnz).sum(),
-            })
-            .collect();
-        let total_bytes: u64 = stats.iter().map(|s| s.bytes_sent).sum();
-
-        // Coordinator: sum the replies per source into one dense scratch.
-        let t = Stopwatch::start();
-        let mut scratch = Scratch::with_len(index.node_count());
-        let mut results = Vec::with_capacity(sources.len());
-        for qi in 0..sources.len() {
-            for (vs, _) in &replies {
-                scratch.scatter(&vs[qi], 1.0);
-            }
-            results.push(scratch.harvest());
-        }
-        let coordinator_seconds = t.elapsed_seconds();
-
-        ClusterBatchReport {
-            results,
-            machines: stats,
-            coordinator_seconds,
-            modeled_network_seconds: self.network.receive_seconds(total_bytes, machines),
-            wall_seconds: t_round.elapsed_seconds(),
-        }
+        self.round(
+            index,
+            RoundKind::Sources(sources),
+            OnMissing::ComputeLocally,
+        )
     }
 
-    /// [`Cluster::query_many`] under the active [`FaultPlan`]: the same
-    /// single fan-out round, but each machine's reply is pushed through
-    /// the modeled delivery timeline (deadlines, retries, hedging — see
-    /// [`crate::fault`]) and may fail to arrive. The coordinator sums
-    /// whatever arrived, **in machine order**, so with an empty plan the
-    /// results are bit-identical to [`Cluster::query_many`] — same
-    /// machines, same order, same arithmetic.
+    /// [`Cluster::query_many`] with failures *reported*: in process, each
+    /// machine's reply is pushed through the active [`FaultPlan`]'s
+    /// modeled delivery timeline (deadlines, retries, hedging — see
+    /// [`crate::fault`]) and may fail to arrive; over sockets the faults
+    /// are real (worker crashes, timeouts) and the plan is ignored. The
+    /// coordinator sums whatever arrived, **in machine order**, so with
+    /// an empty plan and a healthy fleet the results are bit-identical to
+    /// [`Cluster::query_many`] — same machines, same order, same
+    /// arithmetic.
     ///
-    /// When [`FanoutOutcome::complete`] is false the partial sums in
+    /// When [`ClusterBatchReport::complete`] is false the partial sums in
     /// `results` are *not* exact PPVs; the serving layer decides whether
     /// to degrade to an approximate answer or retry the round later.
-    /// Fault decisions run entirely on modeled time derived from reply
-    /// entry counts — measured wall seconds are reported but never
+    /// Scripted fault decisions run entirely on modeled time derived from
+    /// reply entry counts — measured wall seconds are reported but never
     /// consulted, so a run replays bit-identically on any host.
     pub fn try_query_many<I: DistributedQueryable>(
         &self,
         index: &I,
         sources: &[NodeId],
-    ) -> ResilientBatchReport {
-        if let Some(sock) = self.socket.as_deref() {
-            if sock.machines() == index.machines() {
-                return self.try_query_many_socket(sock, index, sources);
-            }
-        }
+    ) -> ClusterBatchReport {
+        self.round(index, RoundKind::Sources(sources), OnMissing::Report)
+    }
+
+    /// The one fan-out round every entry point runs: gather one reply per
+    /// machine over the active transport, account for it, sum in machine
+    /// order.
+    fn round<I: DistributedQueryable>(
+        &self,
+        index: &I,
+        kind: RoundKind<'_>,
+        on_missing: OnMissing,
+    ) -> ClusterBatchReport {
         let t_round = Stopwatch::start();
         let machines = index.machines();
-        let round = self.round.fetch_add(1, Ordering::Relaxed);
-        let replies: Vec<(Vec<SparseVector>, f64)> =
-            fan_out(machines, self.parallelism, |m, scratch| {
-                index.machine_vectors_into(sources, m, scratch)
-            });
-
-        let stats: Vec<MachineStats> = replies
-            .iter()
-            .map(|(vs, secs)| MachineStats {
-                compute_seconds: *secs,
-                bytes_sent: reply_frame_bytes(vs),
-                entries: vs.iter().map(SparseVector::nnz).sum(),
-            })
-            .collect();
-
-        // Per-machine modeled delivery timelines. The empty-plan branch
-        // skips deadlines entirely (a fault-free cluster has no reason to
-        // time out its own machines), which pins it to `query_many`.
-        let outcomes: Vec<MachineOutcome> = if self.plan.is_empty() {
-            stats
-                .iter()
-                .map(|s| MachineOutcome {
-                    answered: true,
-                    attempts: 1,
-                    hedged: false,
-                    reply_seconds: self.resilience.modeled_service_seconds(s.entries)
-                        + self.network.one_way_seconds(s.bytes_sent),
-                })
-                .collect()
-        } else {
-            stats
-                .iter()
-                .enumerate()
-                .map(|(m, s)| {
-                    simulate_attempts(
-                        &self.plan,
-                        &self.resilience,
-                        m,
-                        round,
-                        self.resilience.modeled_service_seconds(s.entries),
-                        self.network.one_way_seconds(s.bytes_sent),
-                    )
-                })
-                .collect()
+        let round = match on_missing {
+            OnMissing::Report => self.round.fetch_add(1, Ordering::Relaxed),
+            OnMissing::ComputeLocally => self.round.load(Ordering::Relaxed),
         };
+        let compute = |m: u32, scratch: &mut Scratch| match kind {
+            RoundKind::Sources(sources) => index.machine_vectors_into(sources, m, scratch),
+            RoundKind::Preference(preference) => {
+                vec![index.machine_vector_preference_into(preference, m, scratch)]
+            }
+        };
+        let computed =
+            |vectors: Vec<SparseVector>, compute_seconds: f64, attempts: u32| MachineReply {
+                frame_bytes: reply_frame_bytes(&vectors),
+                vectors,
+                compute_seconds,
+                attempts,
+            };
+        let max_attempts = self.resilience.max_attempts.max(1);
 
-        let delivered_bytes: u64 = stats
-            .iter()
-            .zip(&outcomes)
-            .filter(|(_, o)| o.answered)
-            .map(|(s, _)| s.bytes_sent)
-            .sum();
-        let answered = outcomes.iter().filter(|o| o.answered).count();
+        // The transport: real worker processes, or in-process machines
+        // whose replies are priced by the same frame formula.
+        let socket = self
+            .socket
+            .as_deref()
+            .filter(|sock| sock.machines() == machines);
+        let mut replies: Vec<Option<MachineReply>> = match socket {
+            Some(sock) => sock.round_of(kind, &self.resilience),
+            None => fan_out(machines, self.parallelism, compute)
+                .into_iter()
+                .map(|(vectors, seconds)| Some(computed(vectors, seconds, 1)))
+                .collect(),
+        };
+        if on_missing == OnMissing::ComputeLocally {
+            for (m, reply) in replies.iter_mut().enumerate() {
+                if reply.is_none() {
+                    let t = Stopwatch::start();
+                    let vectors = compute(m as u32, &mut Scratch::new());
+                    *reply = Some(computed(vectors, t.elapsed_seconds(), max_attempts));
+                }
+            }
+        }
 
-        // Coordinator: sum the *delivered* replies per source, in machine
-        // order (identical arithmetic to `query_many` when all answered).
+        // Per-machine records and delivery outcomes. Scripted timelines
+        // only exist in process and only under a non-empty plan: skipping
+        // deadlines otherwise (a fault-free cluster has no reason to time
+        // out its own machines) is what pins the resilient path to the
+        // plain one.
+        let scripted = on_missing == OnMissing::Report && socket.is_none() && !self.plan.is_empty();
+        let mut stats: Vec<MachineStats> = Vec::with_capacity(machines);
+        let mut outcomes: Vec<MachineOutcome> = Vec::with_capacity(machines);
+        let mut healthy_round = 0.0f64;
+        for (m, reply) in replies.iter().enumerate() {
+            let Some(r) = reply else {
+                stats.push(MachineStats::default());
+                outcomes.push(MachineOutcome {
+                    answered: false,
+                    attempts: max_attempts,
+                    hedged: false,
+                    reply_seconds: 0.0,
+                });
+                continue;
+            };
+            let entries = r.vectors.iter().map(SparseVector::nnz).sum();
+            let service = self.resilience.modeled_service_seconds(entries);
+            let wire = self.network.one_way_seconds(r.frame_bytes);
+            healthy_round = healthy_round.max(service + wire);
+            stats.push(MachineStats {
+                compute_seconds: r.compute_seconds,
+                bytes_sent: r.frame_bytes,
+                entries,
+            });
+            outcomes.push(if scripted {
+                simulate_attempts(&self.plan, &self.resilience, m, round, service, wire)
+            } else {
+                MachineOutcome {
+                    answered: true,
+                    attempts: r.attempts,
+                    hedged: false,
+                    reply_seconds: service + wire,
+                }
+            });
+        }
+
+        // Coordinator: sum the *delivered* replies per source into one
+        // dense scratch, in machine order. An incomplete round's partial
+        // sums are reported but never exact.
         let t = Stopwatch::start();
         let mut scratch = Scratch::with_len(index.node_count());
-        let mut results = Vec::with_capacity(sources.len());
-        for qi in 0..sources.len() {
-            for ((vs, _), o) in replies.iter().zip(&outcomes) {
-                if o.answered {
-                    scratch.scatter(&vs[qi], 1.0);
+        let mut results = Vec::with_capacity(kind.expected_vectors());
+        for qi in 0..kind.expected_vectors() {
+            for (reply, o) in replies.iter().zip(&outcomes) {
+                if let (Some(r), true) = (reply, o.answered) {
+                    scratch.scatter(&r.vectors[qi], 1.0);
                 }
             }
             results.push(scratch.harvest());
         }
         let coordinator_seconds = t.elapsed_seconds();
 
-        // Extra modeled delay attributable to the plan: the faulty round
-        // timeline vs what the same replies would have taken fault-free.
-        let healthy_round: f64 = stats
-            .iter()
-            .map(|s| {
-                self.resilience.modeled_service_seconds(s.entries)
-                    + self.network.one_way_seconds(s.bytes_sent)
-            })
-            .fold(0.0, f64::max);
         let outcome = FanoutOutcome {
             round,
             machines: outcomes,
         };
-        let modeled_fault_seconds = if self.plan.is_empty() {
-            0.0
-        } else {
+        // Extra modeled delay attributable to the plan: the faulty round
+        // timeline vs what the same replies would have taken fault-free.
+        let modeled_fault_seconds = if scripted {
             (outcome.modeled_round_seconds() - healthy_round).max(0.0)
+        } else {
+            0.0
         };
-
-        ResilientBatchReport {
+        let mut report = ClusterBatchReport {
             results,
             outcome,
             machines: stats,
             coordinator_seconds,
-            modeled_network_seconds: self.network.receive_seconds(delivered_bytes, answered),
+            modeled_network_seconds: 0.0,
             modeled_fault_seconds,
-            wall_seconds: t_round.elapsed_seconds(),
-        }
-    }
-
-    /// [`Cluster::query_preference`] over the real wire: one fan-out
-    /// round of `RequestPref` frames to the worker processes. A machine
-    /// that exhausts its socket attempts (crash plus failed restarts) is
-    /// computed locally by the coordinator from its own index copy —
-    /// same bits, and its bytes still counted through the shared frame
-    /// formula — because the plain query paths promise an exact answer.
-    fn query_preference_socket<I: DistributedQueryable>(
-        &self,
-        sock: &SocketCluster,
-        index: &I,
-        preference: &[(NodeId, f64)],
-    ) -> ClusterQueryReport {
-        let t_round = Stopwatch::start();
-        let machines = index.machines();
-        let replies = sock.round_preference(preference, &self.resilience);
-        let mut vectors: Vec<SparseVector> = Vec::with_capacity(machines);
-        let mut stats: Vec<MachineStats> = Vec::with_capacity(machines);
-        for (m, reply) in replies.into_iter().enumerate() {
-            let (v, secs, bytes) = match reply {
-                Some(mut r) => {
-                    // `round_preference` validated exactly one vector.
-                    let v = r.vectors.pop().unwrap_or_default();
-                    (v, r.compute_seconds, r.frame_bytes)
-                }
-                None => {
-                    let t = Stopwatch::start();
-                    let mut scratch = Scratch::new();
-                    let v =
-                        index.machine_vector_preference_into(preference, m as u32, &mut scratch);
-                    let secs = t.elapsed_seconds();
-                    let bytes = reply_frame_bytes(std::slice::from_ref(&v));
-                    (v, secs, bytes)
-                }
-            };
-            stats.push(MachineStats {
-                compute_seconds: secs,
-                bytes_sent: bytes,
-                entries: v.nnz(),
-            });
-            vectors.push(v);
-        }
-        let total_bytes: u64 = stats.iter().map(|s| s.bytes_sent).sum();
-
-        // Coordinator sum, in machine order — the modeled path's exact
-        // arithmetic, so the two transports answer identically.
-        let t = Stopwatch::start();
-        let mut scratch = Scratch::with_len(index.node_count());
-        for v in &vectors {
-            scratch.scatter(v, 1.0);
-        }
-        let result = scratch.harvest();
-        let coordinator_seconds = t.elapsed_seconds();
-
-        ClusterQueryReport {
-            result,
-            machines: stats,
-            coordinator_seconds,
-            modeled_network_seconds: self.network.receive_seconds(total_bytes, machines),
-            wall_seconds: t_round.elapsed_seconds(),
-        }
-    }
-
-    /// [`Cluster::query_many`] over the real wire, with the same
-    /// local-fallback guarantee as [`Cluster::query_preference`]'s socket
-    /// path: the batch always comes back exact.
-    fn query_many_socket<I: DistributedQueryable>(
-        &self,
-        sock: &SocketCluster,
-        index: &I,
-        sources: &[NodeId],
-    ) -> ClusterBatchReport {
-        let t_round = Stopwatch::start();
-        let machines = index.machines();
-        let replies = sock.round(sources, &self.resilience);
-        let mut per_machine: Vec<Vec<SparseVector>> = Vec::with_capacity(machines);
-        let mut stats: Vec<MachineStats> = Vec::with_capacity(machines);
-        for (m, reply) in replies.into_iter().enumerate() {
-            let (vs, secs, bytes) = match reply {
-                Some(r) => (r.vectors, r.compute_seconds, r.frame_bytes),
-                None => {
-                    let t = Stopwatch::start();
-                    let mut scratch = Scratch::new();
-                    let vs = index.machine_vectors_into(sources, m as u32, &mut scratch);
-                    let secs = t.elapsed_seconds();
-                    let bytes = reply_frame_bytes(&vs);
-                    (vs, secs, bytes)
-                }
-            };
-            stats.push(MachineStats {
-                compute_seconds: secs,
-                bytes_sent: bytes,
-                entries: vs.iter().map(SparseVector::nnz).sum(),
-            });
-            per_machine.push(vs);
-        }
-        let total_bytes: u64 = stats.iter().map(|s| s.bytes_sent).sum();
-
-        let t = Stopwatch::start();
-        let mut scratch = Scratch::with_len(index.node_count());
-        let mut results = Vec::with_capacity(sources.len());
-        for qi in 0..sources.len() {
-            for vs in &per_machine {
-                scratch.scatter(&vs[qi], 1.0);
-            }
-            results.push(scratch.harvest());
-        }
-        let coordinator_seconds = t.elapsed_seconds();
-
-        ClusterBatchReport {
-            results,
-            machines: stats,
-            coordinator_seconds,
-            modeled_network_seconds: self.network.receive_seconds(total_bytes, machines),
-            wall_seconds: t_round.elapsed_seconds(),
-        }
-    }
-
-    /// [`Cluster::try_query_many`] over the real wire. Faults here are
-    /// *real* (worker crashes, timeouts), not scripted: the active
-    /// [`FaultPlan`] is ignored, a machine that exhausted its restarts is
-    /// reported unanswered (no local fallback — the serving layer's
-    /// degrade path owns that decision), and `modeled_fault_seconds`
-    /// stays `0.0` because nothing about the delay was modeled.
-    fn try_query_many_socket<I: DistributedQueryable>(
-        &self,
-        sock: &SocketCluster,
-        index: &I,
-        sources: &[NodeId],
-    ) -> ResilientBatchReport {
-        let t_round = Stopwatch::start();
-        let round = self.round.fetch_add(1, Ordering::Relaxed);
-        let replies = sock.round(sources, &self.resilience);
-        let mut per_machine: Vec<Option<Vec<SparseVector>>> = Vec::with_capacity(replies.len());
-        let mut stats: Vec<MachineStats> = Vec::with_capacity(replies.len());
-        let mut outcomes: Vec<MachineOutcome> = Vec::with_capacity(replies.len());
-        for reply in replies {
-            match reply {
-                Some(r) => {
-                    let entries: usize = r.vectors.iter().map(SparseVector::nnz).sum();
-                    stats.push(MachineStats {
-                        compute_seconds: r.compute_seconds,
-                        bytes_sent: r.frame_bytes,
-                        entries,
-                    });
-                    outcomes.push(MachineOutcome {
-                        answered: true,
-                        attempts: r.attempts,
-                        hedged: false,
-                        reply_seconds: self.resilience.modeled_service_seconds(entries)
-                            + self.network.one_way_seconds(r.frame_bytes),
-                    });
-                    per_machine.push(Some(r.vectors));
-                }
-                None => {
-                    stats.push(MachineStats {
-                        compute_seconds: 0.0,
-                        bytes_sent: 0,
-                        entries: 0,
-                    });
-                    outcomes.push(MachineOutcome {
-                        answered: false,
-                        attempts: self.resilience.max_attempts.max(1),
-                        hedged: false,
-                        reply_seconds: 0.0,
-                    });
-                    per_machine.push(None);
-                }
-            }
-        }
-        let delivered_bytes: u64 = stats.iter().map(|s| s.bytes_sent).sum();
-        let answered = outcomes.iter().filter(|o| o.answered).count();
-
-        let t = Stopwatch::start();
-        let mut scratch = Scratch::with_len(index.node_count());
-        let mut results = Vec::with_capacity(sources.len());
-        for qi in 0..sources.len() {
-            for vs in per_machine.iter().flatten() {
-                scratch.scatter(&vs[qi], 1.0);
-            }
-            results.push(scratch.harvest());
-        }
-        let coordinator_seconds = t.elapsed_seconds();
-
-        ResilientBatchReport {
-            results,
-            outcome: FanoutOutcome {
-                round,
-                machines: outcomes,
-            },
-            machines: stats,
-            coordinator_seconds,
-            modeled_network_seconds: self.network.receive_seconds(delivered_bytes, answered),
-            modeled_fault_seconds: 0.0,
-            wall_seconds: t_round.elapsed_seconds(),
-        }
-    }
-}
-
-/// Everything measured for one batched fan-out round
-/// ([`Cluster::query_many`]): the serving-path analogue of
-/// [`ClusterQueryReport`], with one result per requested source and the
-/// round's costs amortized over the whole batch.
-#[derive(Clone, Debug)]
-pub struct ClusterBatchReport {
-    /// Exact PPVs, parallel to the requested sources.
-    pub results: Vec<SparseVector>,
-    /// Per-machine records covering the entire batch.
-    pub machines: Vec<MachineStats>,
-    /// Seconds the coordinator spent summing all replies (real).
-    pub coordinator_seconds: f64,
-    /// Modeled wire time for the single batched communication round.
-    pub modeled_network_seconds: f64,
-    /// Real elapsed seconds of the whole batched round in this process
-    /// (see [`ClusterQueryReport::wall_seconds`]).
-    pub wall_seconds: f64,
-}
-
-impl ClusterBatchReport {
-    /// Batch runtime under the paper's metric: max machine compute +
-    /// coordinator aggregation (one round for the whole batch).
-    pub fn runtime_seconds(&self) -> f64 {
-        self.machines
-            .iter()
-            .map(|m| m.compute_seconds)
-            .fold(0.0, f64::max)
-            + self.coordinator_seconds
-    }
-
-    /// Total bytes the coordinator received for the batch.
-    pub fn total_bytes(&self) -> u64 {
-        self.machines.iter().map(|m| m.bytes_sent).sum()
-    }
-}
-
-/// Everything measured for one *resilient* batched fan-out round
-/// ([`Cluster::try_query_many`]): a [`ClusterBatchReport`] plus the
-/// [`FanoutOutcome`] saying which machines answered and how much modeled
-/// delay the fault plan added.
-#[derive(Clone, Debug)]
-pub struct ResilientBatchReport {
-    /// Per-source sums over the machines that answered, in machine
-    /// order. Exact PPVs iff [`FanoutOutcome::complete`]; partial sums
-    /// otherwise (the serving layer must not treat them as answers).
-    pub results: Vec<SparseVector>,
-    /// Which machines answered, with their modeled delivery timelines.
-    pub outcome: FanoutOutcome,
-    /// Per-machine compute/traffic records for the whole batch (every
-    /// machine computed, whether or not its reply was delivered).
-    pub machines: Vec<MachineStats>,
-    /// Seconds the coordinator spent summing delivered replies (real).
-    pub coordinator_seconds: f64,
-    /// Modeled wire time for the *delivered* bytes of the round.
-    pub modeled_network_seconds: f64,
-    /// Extra modeled delay attributable to the fault plan (deadline
-    /// waits, backoff, straggling) beyond a fault-free round. Exactly
-    /// `0.0` when the plan is empty.
-    pub modeled_fault_seconds: f64,
-    /// Real elapsed seconds of the whole round in this process.
-    pub wall_seconds: f64,
-}
-
-impl ResilientBatchReport {
-    /// Did every machine answer (making `results` exact PPVs)?
-    pub fn complete(&self) -> bool {
-        self.outcome.complete()
-    }
-
-    /// Bytes that actually reached the coordinator.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.machines
-            .iter()
-            .zip(&self.outcome.machines)
-            .filter(|(_, o)| o.answered)
-            .map(|(s, _)| s.bytes_sent)
-            .sum()
+            wall_seconds: 0.0,
+        };
+        report.modeled_network_seconds = self
+            .network
+            .receive_seconds(report.total_bytes(), report.outcome.answered());
+        report.wall_seconds = t_round.elapsed_seconds();
+        report
     }
 }
 
@@ -1259,7 +986,7 @@ mod tests {
         let resilient = cluster.try_query_many(&idx, &sources);
         assert!(resilient.complete());
         assert_eq!(plain.results, resilient.results);
-        assert_eq!(plain.total_bytes(), resilient.delivered_bytes());
+        assert_eq!(plain.total_bytes(), resilient.total_bytes());
         assert_eq!(
             plain.modeled_network_seconds,
             resilient.modeled_network_seconds
@@ -1289,7 +1016,7 @@ mod tests {
         assert!(!r.complete());
         assert_eq!(r.outcome.missing(), vec![2]);
         assert!(r.modeled_fault_seconds > 0.0);
-        assert!(r.delivered_bytes() < exact.total_bytes());
+        assert!(r.total_bytes() < exact.total_bytes());
         // The partial sum is machine 2's share short of the exact PPV.
         let partial_mass: f64 = (0..250u32).map(|v| r.results[0].get(v)).sum();
         let exact_mass: f64 = (0..250u32).map(|v| exact.results[0].get(v)).sum();
@@ -1320,7 +1047,7 @@ mod tests {
             if r.complete() {
                 complete_rounds += 1;
                 assert_eq!(r.results, exact.results);
-                assert_eq!(r.delivered_bytes(), exact.total_bytes());
+                assert_eq!(r.total_bytes(), exact.total_bytes());
             }
             retried |= r.outcome.machines.iter().any(|o| o.attempts > 1);
         }

@@ -29,7 +29,6 @@ pub mod socket;
 
 pub use exec::{
     Cluster, ClusterBatchReport, ClusterQueryReport, DistributedQueryable, MachineStats,
-    ResilientBatchReport,
 };
 pub use fault::{Fault, FanoutOutcome, FaultPlan, MachineOutcome, ResilienceConfig};
 pub use network::NetworkModel;

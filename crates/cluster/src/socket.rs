@@ -17,8 +17,9 @@
 //!   re-`Welcome`d at the current epoch, and the request is re-sent —
 //!   bounded by [`ResilienceConfig::max_attempts`];
 //! * a machine that exhausts its attempts yields `None` for the round,
-//!   which the caller treats exactly like a modeled dropped reply
-//!   (partial sums discarded, degrade path — never a wrong answer);
+//!   which [`Cluster`](crate::Cluster)'s round either computes locally
+//!   (the exact entry points) or reports exactly like a modeled dropped
+//!   reply (partial sums discarded, degrade path) — never a wrong answer;
 //! * epoch barriers ([`SocketCluster::publish_epoch`]) persist the new
 //!   snapshot **before** broadcasting the delta, so a worker that dies at
 //!   any point rejoins consistently: either it acked the delta (replica
@@ -273,21 +274,19 @@ impl SocketCluster {
         sources: &[NodeId],
         resilience: &ResilienceConfig,
     ) -> Vec<Option<MachineReply>> {
-        self.state()
-            .drive_round(RoundKind::Batch(sources), resilience.max_attempts.max(1))
+        self.round_of(RoundKind::Sources(sources), resilience)
     }
 
-    /// One preference-set fan-out round: each machine folds the weighted
-    /// set into a single reply vector.
-    pub fn round_preference(
+    /// [`SocketCluster::round`] for either [`RoundKind`] — the entry
+    /// point [`Cluster`](crate::Cluster)'s one round drives. A preference
+    /// round folds the weighted set into a single reply vector.
+    pub(crate) fn round_of(
         &self,
-        preference: &[(NodeId, f64)],
+        kind: RoundKind<'_>,
         resilience: &ResilienceConfig,
     ) -> Vec<Option<MachineReply>> {
-        self.state().drive_round(
-            RoundKind::Preference(preference),
-            resilience.max_attempts.max(1),
-        )
+        self.state()
+            .drive_round(kind, resilience.max_attempts.max(1))
     }
 
     /// Publish one epoch barrier: persist the post-delta snapshot
@@ -372,17 +371,20 @@ impl Drop for SocketCluster {
     }
 }
 
-/// What one round asks every machine to compute.
+/// What one fan-out round asks every machine to compute — shared by
+/// the in-process and the socket transport.
 #[derive(Clone, Copy)]
-enum RoundKind<'a> {
-    Batch(&'a [NodeId]),
+pub(crate) enum RoundKind<'a> {
+    /// One reply vector per (distinct) source.
+    Sources(&'a [NodeId]),
+    /// One reply vector folding the whole weighted preference set.
     Preference(&'a [(NodeId, f64)]),
 }
 
 impl RoundKind<'_> {
     fn message(&self, round: u64) -> Message {
         match self {
-            RoundKind::Batch(sources) => Message::Request {
+            RoundKind::Sources(sources) => Message::Request {
                 round,
                 sources: sources.to_vec(),
             },
@@ -393,9 +395,10 @@ impl RoundKind<'_> {
         }
     }
 
-    fn expected_vectors(&self) -> usize {
+    /// Reply vectors every machine owes for this round.
+    pub(crate) fn expected_vectors(&self) -> usize {
         match self {
-            RoundKind::Batch(sources) => sources.len(),
+            RoundKind::Sources(sources) => sources.len(),
             RoundKind::Preference(_) => 1,
         }
     }

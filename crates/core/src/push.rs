@@ -109,7 +109,7 @@ impl PushEngine {
         // mass parks there.
 
         // Enqueue whatever the seed expansion raised above tolerance.
-        for &v in self.touched.clone().iter() {
+        for &v in &self.touched {
             if self.e[v as usize] > eps && !blocked[v as usize] && !self.in_queue[v as usize] {
                 self.in_queue[v as usize] = true;
                 self.queue.push_back(v);

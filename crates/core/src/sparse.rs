@@ -9,10 +9,9 @@
 //! exactly these arrays).
 
 use ppr_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Immutable-ish sparse vector with entries sorted by node id.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SparseVector {
     entries: Vec<(NodeId, f64)>,
 }

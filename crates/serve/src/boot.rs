@@ -12,7 +12,7 @@
 //! wrong-kind artifact surfaces as an [`io::Error`] from the loader,
 //! never a panic (the `serve-panic` audit rule applies to this crate).
 
-use crate::{DynamicPprServer, PprServer, ServeConfig, ShardedPprServer};
+use crate::{DynamicPprServer, PprServer, ServeConfig};
 use ppr_core::persist::{self, PersistedIndex};
 use ppr_graph::CsrGraph;
 use std::io;
@@ -57,14 +57,10 @@ impl ColdStart {
         self.config
     }
 
-    /// A batching/caching server over the loaded index.
+    /// A batching/caching server over the loaded index (reader shards
+    /// and parallelism as configured).
     pub fn server(&self) -> PprServer<'_, PersistedIndex> {
         PprServer::new(&self.index, self.config)
-    }
-
-    /// A sharded (really-parallel) server over the loaded index.
-    pub fn sharded_server(&self) -> ShardedPprServer<'_, PersistedIndex> {
-        ShardedPprServer::new(&self.index, self.config)
     }
 }
 

@@ -34,8 +34,7 @@
 //! ## Epochs: updates as barriers between sharded readers
 //!
 //! The cache is sharded (`ServeConfig::shards`, hash-by-source) and read
-//! batches assemble on one worker per shard, like
-//! [`ShardedPprServer`](crate::ShardedPprServer). Writes follow an
+//! batches assemble on one worker per shard. Writes follow an
 //! **epoch discipline** echoing incremental view maintenance: all serving
 //! inside one epoch sees a single `(graph, index)` version. An update
 //! batch (1) *quiesces* readers — `apply_delta` takes `&mut self`, so
@@ -53,20 +52,17 @@
 use crate::cache::CacheStats;
 use crate::degrade::{Answer, Degrader, DEGRADED_WALKS};
 use crate::server::{
-    assemble, execute_batch, BatchOutcome, Request, Response, ServeConfig, ServeStats,
+    BatchOutcome, Request, Response, RoundPolicy, ServeConfig, ServeStats, ServerCore,
 };
-use crate::shard::ShardSet;
 use crate::replica::{plan_delta, DeltaPlan};
-use ppr_cluster::{
-    Cluster, ClusterConfig, FanoutOutcome, FaultPlan, ResilienceConfig, SocketCluster,
-};
+use ppr_cluster::{FanoutOutcome, FaultPlan, ResilienceConfig, SocketCluster};
 use ppr_core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use ppr_core::incremental::{MaintenanceEngine, UpdateError, UpdateStats};
 use ppr_core::{PprConfig, SparseVector};
 use ppr_graph::reach::reverse_reachable;
 use ppr_graph::{CsrGraph, EdgeUpdate, GraphDelta, NodeId};
 use ppr_core::parallel::Stopwatch;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// What one [`DynamicPprServer::apply_delta`] call did.
@@ -248,10 +244,7 @@ pub struct DynamicPprServer {
     graph: CsrGraph,
     index: HgpaIndex,
     engine: MaintenanceEngine,
-    cluster: Cluster,
-    cache: ShardSet,
-    config: ServeConfig,
-    stats: ServeStats,
+    core: ServerCore,
     dynamic_stats: DynamicStats,
     resilience_stats: ResilienceStats,
     backlog: BTreeSet<NodeId>,
@@ -283,19 +276,11 @@ impl DynamicPprServer {
             index.node_count(),
             "index and graph disagree on the node set"
         );
-        let cluster = Cluster::new(ClusterConfig {
-            machines: index.machines(),
-            network: config.network,
-            parallelism: config.parallelism,
-        });
         Self {
             graph,
+            core: ServerCore::new(index.machines(), config),
             index,
             engine: MaintenanceEngine::new(),
-            cluster,
-            cache: ShardSet::new(config.shards.max(1), config.cache_capacity_bytes),
-            config,
-            stats: ServeStats::default(),
             dynamic_stats: DynamicStats::default(),
             resilience_stats: ResilienceStats::default(),
             backlog: BTreeSet::new(),
@@ -377,9 +362,12 @@ impl DynamicPprServer {
         // bit). Shards share nothing, so they sweep concurrently.
         let mut evicted = 0usize;
         let mut retained = 0usize;
-        if !self.cache.is_empty() {
+        if !self.core.cache.is_empty() {
             let stale = reverse_reachable(&applied.graph, &stats.dirty_nodes);
-            (evicted, retained) = self.cache.invalidate_stale(&stale, self.config.parallelism);
+            (evicted, retained) = self
+                .core
+                .cache
+                .invalidate_stale(&stale, self.core.config.parallelism);
         }
         let changed = applied.net.len();
         self.graph = applied.graph;
@@ -391,12 +379,12 @@ impl DynamicPprServer {
         // *write* is fatal to the transport, in which case queries fall
         // back to the modeled path (still exact) rather than risk
         // serving from workers stuck on the previous epoch.
-        if let Some(sock) = self.cluster.socket().cloned() {
+        if let Some(sock) = self.core.cluster.socket().cloned() {
             if sock
                 .publish_epoch(&self.index, &self.graph, delta, self.epoch)
                 .is_err()
             {
-                self.cluster.detach_socket();
+                self.core.cluster.detach_socket();
                 self.dynamic_stats.socket_detaches += 1;
             } else {
                 self.dynamic_stats.epochs_published += 1;
@@ -431,29 +419,14 @@ impl DynamicPprServer {
     /// Answer a request stream, coalescing up to `max_batch` requests per
     /// fan-out round. Responses come back in request order.
     pub fn serve(&mut self, requests: &[Request]) -> Vec<Response> {
-        let chunk = self.config.max_batch.max(1);
-        let mut out = Vec::with_capacity(requests.len());
-        for batch in requests.chunks(chunk) {
-            out.extend(self.run_batch(batch).responses);
-        }
-        out
+        self.core.serve(&self.index, requests)
     }
 
     /// Execute one batch in (at most) one cluster fan-out round — the
-    /// same engine as [`PprServer::run_batch`](crate::PprServer::run_batch),
-    /// with one assembly worker per cache shard when parallelism is on.
+    /// same engine as [`PprServer::run_batch`](crate::PprServer::run_batch).
     /// The whole batch runs inside the current epoch.
     pub fn run_batch(&mut self, requests: &[Request]) -> BatchOutcome {
-        let assembly = self.cache.assembly_mode(self.config.parallelism);
-        execute_batch(
-            &self.index,
-            &self.cluster,
-            &mut self.cache,
-            &self.config,
-            &mut self.stats,
-            requests,
-            assembly,
-        )
+        self.core.run_batch(&self.index, requests)
     }
 
     /// Route this server's fan-outs over a real multi-process
@@ -463,35 +436,35 @@ impl DynamicPprServer {
     /// locally). The socket cluster must have been launched from this
     /// server's current index and epoch.
     pub fn attach_socket(&mut self, socket: Arc<SocketCluster>) {
-        self.cluster.attach_socket(socket);
+        self.core.cluster.attach_socket(socket);
     }
 
     /// Detach the socket transport; fan-outs return to the modeled
     /// in-process path.
     pub fn detach_socket(&mut self) -> Option<Arc<SocketCluster>> {
-        self.cluster.detach_socket()
+        self.core.cluster.detach_socket()
     }
 
     /// The attached socket transport, if any.
     pub fn socket(&self) -> Option<&Arc<SocketCluster>> {
-        self.cluster.socket()
+        self.core.cluster.socket()
     }
 
     /// Install a deterministic fault plan (and keep the current retry /
     /// timeout policy). With [`FaultPlan::empty`] — the default — the
     /// resilient path is bit-identical to [`DynamicPprServer::run_batch`].
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.cluster.set_fault_plan(plan);
+        self.core.cluster.set_fault_plan(plan);
     }
 
     /// The active fault plan.
     pub fn fault_plan(&self) -> &FaultPlan {
-        self.cluster.fault_plan()
+        self.core.cluster.fault_plan()
     }
 
     /// Replace the retry / timeout / hedging policy.
     pub fn set_resilience(&mut self, resilience: ResilienceConfig) {
-        self.cluster.set_resilience(resilience);
+        self.core.cluster.set_resilience(resilience);
     }
 
     /// Reconfigure the degraded-answer estimator: `seed` fixes the walk
@@ -543,124 +516,9 @@ impl DynamicPprServer {
     ///
     /// Every request resolves to exactly one [`Answer`]; this method never
     /// sheds (admission control lives in the open-loop driver and
-    /// [`ShardedPprServer::serve_bounded`](crate::ShardedPprServer::serve_bounded)).
+    /// [`PprServer::serve_bounded`](crate::PprServer::serve_bounded)).
     pub fn run_batch_resilient(&mut self, requests: &[Request]) -> ResilientBatchOutcome {
-        let t0 = Stopwatch::start();
-        let assembly = self.cache.assembly_mode(self.config.parallelism);
-
-        // Probe phase — identical to the exact batch engine.
-        let mut missing: Vec<NodeId> = Vec::new();
-        let mut probed: HashSet<NodeId> = HashSet::new();
-        for req in requests {
-            for u in req.sources() {
-                if probed.insert(u) && self.cache.get(u).is_none() {
-                    missing.push(u);
-                }
-            }
-        }
-        let cached_sources = probed.len() - missing.len();
-
-        let mut fresh: HashMap<NodeId, SparseVector> = HashMap::new();
-        let mut modeled_network_seconds = 0.0;
-        let mut modeled_fault_seconds = 0.0;
-        let mut round_bytes = 0u64;
-        let mut outcome = None;
-        let mut round_complete = true;
-        if !missing.is_empty() {
-            let round = self.cluster.try_query_many(&self.index, &missing);
-            modeled_network_seconds = round.modeled_network_seconds;
-            modeled_fault_seconds = round.modeled_fault_seconds;
-            round_bytes = round.delivered_bytes();
-            round_complete = round.complete();
-            if round_complete {
-                self.stats.rounds += 1;
-                for (u, ppv) in missing.iter().copied().zip(round.results) {
-                    fresh.insert(u, ppv);
-                }
-            }
-            outcome = Some(round.outcome);
-        }
-
-        if round_complete {
-            let responses = assemble(&self.index, &fresh, &self.cache, requests, assembly);
-            // Admit the round's PPVs in batch order (deterministic
-            // recency) — exactly as `execute_batch` does.
-            if self.config.cache_capacity_bytes > 0 {
-                for &u in &missing {
-                    if let Some(ppv) = fresh.remove(&u) {
-                        self.cache.insert(u, ppv);
-                    }
-                }
-            }
-            let seconds = t0.elapsed_seconds();
-            self.stats.requests += requests.len() as u64;
-            self.stats.batches += 1;
-            self.stats.fresh_sources += missing.len() as u64;
-            self.stats.cached_sources += cached_sources as u64;
-            self.stats.busy_seconds += seconds;
-            self.stats.modeled_network_seconds += modeled_network_seconds;
-            self.stats.round_bytes += round_bytes;
-            self.resilience_stats.resilient_batches += 1;
-            self.resilience_stats.exact_answers += requests.len() as u64;
-            return ResilientBatchOutcome {
-                answers: responses.into_iter().map(Answer::Exact).collect(),
-                cached_sources,
-                fresh_sources: missing.len(),
-                degraded_sources: 0,
-                round_complete: true,
-                outcome,
-                modeled_network_seconds,
-                modeled_fault_seconds,
-                seconds,
-            };
-        }
-
-        // Degraded path: answer + error bar, never a lie.
-        let degrader = Degrader::new(
-            &self.graph,
-            self.index.config(),
-            self.degrade_seed,
-            self.degrade_walks,
-        );
-        let cache = &self.cache;
-        let answers: Vec<Answer> = requests
-            .iter()
-            .map(|req| degrader.answer(req, |u| cache.peek(u)))
-            .collect();
-        for &u in &missing {
-            if self.backlog.contains(&u) {
-                continue;
-            }
-            if self.backlog.len() < BACKLOG_CAP {
-                // audit:allow(unbounded-queue): guarded by the
-                // BACKLOG_CAP check one line up; overflow is counted,
-                // never silently absorbed.
-                self.backlog.insert(u);
-            } else {
-                self.resilience_stats.backlog_overflow += 1;
-            }
-        }
-        let seconds = t0.elapsed_seconds();
-        self.resilience_stats.resilient_batches += 1;
-        self.resilience_stats.incomplete_rounds += 1;
-        for a in &answers {
-            if a.is_exact() {
-                self.resilience_stats.exact_answers += 1;
-            } else {
-                self.resilience_stats.degraded_answers += 1;
-            }
-        }
-        ResilientBatchOutcome {
-            answers,
-            cached_sources,
-            fresh_sources: 0,
-            degraded_sources: missing.len(),
-            round_complete: false,
-            outcome,
-            modeled_network_seconds,
-            modeled_fault_seconds,
-            seconds,
-        }
+        self.run_degradable(requests, RoundPolicy::Resilient)
     }
 
     /// Execute one batch **without any fan-out round**: the
@@ -673,30 +531,61 @@ impl DynamicPprServer {
     /// resolves to exactly one [`Answer`]; nothing approximate enters the
     /// exact PPV cache.
     pub fn run_batch_degraded(&mut self, requests: &[Request]) -> ResilientBatchOutcome {
-        let t0 = Stopwatch::start();
-        let mut missing: Vec<NodeId> = Vec::new();
-        let mut probed: HashSet<NodeId> = HashSet::new();
-        for req in requests {
-            for u in req.sources() {
-                if probed.insert(u) && self.cache.get(u).is_none() {
-                    missing.push(u);
-                }
-            }
-        }
-        let cached_sources = probed.len() - missing.len();
+        self.run_degradable(requests, RoundPolicy::NoRound)
+    }
 
+    /// Run the batch engine under `policy`; degrade whatever it left
+    /// unanswered.
+    fn run_degradable(
+        &mut self,
+        requests: &[Request],
+        policy: RoundPolicy,
+    ) -> ResilientBatchOutcome {
+        let t0 = Stopwatch::start();
+        let done = self.core.execute(&self.index, requests, policy);
+        self.resilience_stats.resilient_batches += 1;
+        let round_complete = done.responses.is_some();
+        let missing = done.missing.len();
+        let (answers, fresh_sources, degraded_sources) = match done.responses {
+            Some(responses) => {
+                self.resilience_stats.exact_answers += requests.len() as u64;
+                let exact = responses.into_iter().map(Answer::Exact).collect();
+                (exact, missing, 0)
+            }
+            None => {
+                self.resilience_stats.incomplete_rounds += u64::from(done.outcome.is_some());
+                (self.degrade_and_park(requests, &done.missing), 0, missing)
+            }
+        };
+        ResilientBatchOutcome {
+            answers,
+            cached_sources: done.cached_sources,
+            fresh_sources,
+            degraded_sources,
+            round_complete,
+            outcome: done.outcome,
+            modeled_network_seconds: done.modeled_network_seconds,
+            modeled_fault_seconds: done.modeled_fault_seconds,
+            seconds: t0.elapsed_seconds(),
+        }
+    }
+
+    /// The degraded path — answer + error bar, never a lie: every request
+    /// is answered by the [`Degrader`] (exactly where its sources are
+    /// cache-resident) and the `missing` sources are parked for backfill.
+    fn degrade_and_park(&mut self, requests: &[Request], missing: &[NodeId]) -> Vec<Answer> {
         let degrader = Degrader::new(
             &self.graph,
             self.index.config(),
             self.degrade_seed,
             self.degrade_walks,
         );
-        let cache = &self.cache;
+        let cache = &self.core.cache;
         let answers: Vec<Answer> = requests
             .iter()
             .map(|req| degrader.answer(req, |u| cache.peek(u)))
             .collect();
-        for &u in &missing {
+        for &u in missing {
             if self.backlog.contains(&u) {
                 continue;
             }
@@ -709,8 +598,6 @@ impl DynamicPprServer {
                 self.resilience_stats.backlog_overflow += 1;
             }
         }
-        let seconds = t0.elapsed_seconds();
-        self.resilience_stats.resilient_batches += 1;
         for a in &answers {
             if a.is_exact() {
                 self.resilience_stats.exact_answers += 1;
@@ -718,17 +605,7 @@ impl DynamicPprServer {
                 self.resilience_stats.degraded_answers += 1;
             }
         }
-        ResilientBatchOutcome {
-            answers,
-            cached_sources,
-            fresh_sources: 0,
-            degraded_sources: missing.len(),
-            round_complete: false,
-            outcome: None,
-            modeled_network_seconds: 0.0,
-            modeled_fault_seconds: 0.0,
-            seconds,
-        }
+        answers
     }
 
     /// Recover up to `limit` parked sources to the exact PPV cache in one
@@ -752,7 +629,7 @@ impl DynamicPprServer {
                 seconds: t0.elapsed_seconds(),
             };
         }
-        let round = self.cluster.try_query_many(&self.index, &take);
+        let round = self.core.cluster.try_query_many(&self.index, &take);
         if !round.complete() {
             self.resilience_stats.incomplete_rounds += 1;
             return BackfillOutcome {
@@ -765,13 +642,13 @@ impl DynamicPprServer {
                 seconds: t0.elapsed_seconds(),
             };
         }
-        self.stats.rounds += 1;
-        self.stats.fresh_sources += take.len() as u64;
-        self.stats.modeled_network_seconds += round.modeled_network_seconds;
-        self.stats.round_bytes += round.delivered_bytes();
+        self.core.stats.rounds += 1;
+        self.core.stats.fresh_sources += take.len() as u64;
+        self.core.stats.modeled_network_seconds += round.modeled_network_seconds;
+        self.core.stats.round_bytes += round.total_bytes();
         for (u, ppv) in take.iter().copied().zip(round.results) {
-            if self.config.cache_capacity_bytes > 0 {
-                self.cache.insert(u, ppv);
+            if self.core.config.cache_capacity_bytes > 0 {
+                self.core.cache.insert(u, ppv);
             }
             self.backlog.remove(&u);
         }
@@ -789,26 +666,12 @@ impl DynamicPprServer {
 
     /// Single-request convenience: exact PPV of `u` on the current graph.
     pub fn query(&mut self, u: NodeId) -> SparseVector {
-        match self.run_batch(&[Request::Ppv(u)]).responses.pop() {
-            Some(Response::Ppv(v)) => v,
-            // audit:allow(serve-panic): execute_batch maps each request to its
-            // same-variant response in order
-            _ => unreachable!("Ppv request yields Ppv response"),
-        }
+        self.core.query(&self.index, u)
     }
 
     /// Single-request convenience: exact top-k of `u`'s PPV.
     pub fn top_k(&mut self, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        match self
-            .run_batch(&[Request::TopK { source: u, k }])
-            .responses
-            .pop()
-        {
-            Some(Response::TopK(t)) => t,
-            // audit:allow(serve-panic): execute_batch maps each request to its
-            // same-variant response in order
-            _ => unreachable!("TopK request yields TopK response"),
-        }
+        self.core.top_k(&self.index, u, k)
     }
 
     /// The graph the index is currently exact for.
@@ -823,7 +686,7 @@ impl DynamicPprServer {
 
     /// Cumulative serving counters (query side).
     pub fn stats(&self) -> &ServeStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Cumulative update counters.
@@ -840,33 +703,33 @@ impl DynamicPprServer {
 
     /// Number of reader cache shards.
     pub fn shard_count(&self) -> usize {
-        self.cache.shard_count()
+        self.core.cache.shard_count()
     }
 
     /// Cumulative cache counters per shard, in shard order.
     pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.cache.per_shard_stats()
+        self.core.cache.per_shard_stats()
     }
 
     /// Cumulative cache counters (preserved across invalidations), summed
     /// over shards.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.core.cache.stats()
     }
 
     /// Resident cache entries.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.core.cache.len()
     }
 
     /// Bytes currently resident in the PPV cache.
     pub fn cache_bytes(&self) -> u64 {
-        self.cache.bytes()
+        self.core.cache.bytes()
     }
 
     /// The serving configuration.
     pub fn config(&self) -> &ServeConfig {
-        &self.config
+        &self.core.config
     }
 }
 

@@ -25,14 +25,29 @@
 //!   exactly the full-sort top-k, proven in its docs and pinned by
 //!   proptest in `tests/serving.rs`.
 //!
-//! Serving is **really parallel** when asked: [`ShardedPprServer`] runs
-//! N reader shards over a hash-partitioned PPV cache, assembling each
-//! batch's responses on one scoped worker per shard while the cluster
-//! fan-out underneath computes machine replies concurrently
-//! ([`ppr_cluster::ParallelismMode`]); answers stay bit-identical to the
-//! sequential [`PprServer`] (pinned in `tests/concurrent_serving.rs`).
-//! `PPR_TEST_THREADS=1` forces the sequential fallback everywhere, and
-//! `PPR_SERVE_SHARDS` sizes the shard fleet in `repro serve`.
+//! There is **one batch engine** (probe → at most one fan-out round →
+//! assemble → admit → account; see [`server`]) and two front-ends that
+//! hold it: [`PprServer`] borrows a frozen index of any kind,
+//! [`DynamicPprServer`] owns an updatable HGPA index. Everything else is
+//! configuration of that engine, not another server type:
+//!
+//! * **Parallelism** — `ServeConfig::shards` hash-partitions the PPV
+//!   cache into N reader shards and assembles each batch's responses on
+//!   one scoped worker per shard, while the cluster fan-out underneath
+//!   computes machine replies concurrently
+//!   ([`ppr_cluster::ParallelismMode`]); answers stay bit-identical to
+//!   the one-shard sequential configuration (pinned in
+//!   `tests/concurrent_serving.rs`). `PPR_TEST_THREADS=1` forces the
+//!   sequential fallback everywhere, and `PPR_SERVE_SHARDS` sizes the
+//!   shard fleet in `repro serve`.
+//! * **Round policy** — [`DynamicPprServer::run_batch`] always runs an
+//!   exact round; [`DynamicPprServer::run_batch_resilient`] lets the
+//!   round report machine failures and [`DynamicPprServer::run_batch_degraded`]
+//!   skips it, and whatever the engine leaves unanswered is degraded to
+//!   bounded-precision [`Answer`]s and parked for exact backfill — one
+//!   degrade-and-park path for both.
+//! * **Transport** — [`DynamicPprServer::attach_socket`] moves the same
+//!   round onto real worker processes ([`worker`]).
 //!
 //! Serving can **cold-start from disk**: [`ColdStart`] loads a persisted
 //! index artifact (`ppr_core::persist`, either kind — the format is
@@ -66,7 +81,7 @@ pub mod dynamic;
 pub mod openloop;
 pub mod replica;
 pub mod server;
-pub mod shard;
+mod shard;
 pub mod worker;
 
 pub use boot::ColdStart;
@@ -81,5 +96,4 @@ pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport, ServeEvent, Se
 pub use ppr_workload::ArrivalPattern;
 pub use replica::{plan_delta, DeltaPlan, IndexReplica};
 pub use server::{BatchOutcome, PprServer, Request, Response, ServeConfig, ServeStats};
-pub use shard::ShardedPprServer;
 pub use worker::{Chaos, WorkerConfig};

@@ -1,28 +1,40 @@
 //! The serving front-end: request batching over one cluster fan-out.
 //!
-//! [`PprServer`] sits between clients and a [`DistributedQueryable`]
-//! index. Per batch it:
+//! One batch engine (`ServerCore::execute`) sits between clients and a
+//! [`DistributedQueryable`] index; [`PprServer`] (borrowed static index)
+//! and [`DynamicPprServer`](crate::DynamicPprServer) (owned, updatable
+//! index) both hold it, so the caching/batching/assembly semantics — and
+//! the exactness tests that pin them — cover every front-end. Per batch
+//! the engine:
 //!
 //! 1. collects the *distinct* source nodes the batch's requests need
 //!    (a preference-set query needs one source per member — linearity,
-//!    Eq. 5/7, lets every answer be assembled from per-source PPVs);
-//! 2. serves sources resident in the LRU PPV cache without recomputation;
-//! 3. answers all remaining sources in **one** cluster fan-out round
-//!    ([`Cluster::query_many`]), so the round latency and per-machine
-//!    scratch allocations amortize across the batch, then caches them;
-//! 4. assembles each request's response from the per-source exact PPVs —
+//!    Eq. 5/7, lets every answer be assembled from per-source PPVs) and
+//!    probes the sharded LRU PPV cache once per source;
+//! 2. answers all missing sources in (at most) **one** cluster fan-out
+//!    round ([`Cluster::query_many`]), so the round latency and
+//!    per-machine scratch allocations amortize across the batch;
+//! 3. assembles each request's response from the per-source exact PPVs —
 //!    weighted dense accumulation for preference sets, the threshold
-//!    early-cut selection for top-k.
+//!    early-cut selection for top-k — on one scoped worker per cache
+//!    shard when `ServeConfig::shards > 1` and parallelism is on;
+//! 4. admits the round's PPVs to the cache, in batch order, *after*
+//!    assembly, and accounts the batch in [`ServeStats`].
 //!
 //! Every path returns *exact* answers: the cache stores full exact PPVs
 //! (never truncated), linearity recombination is the same Jeh–Widom
 //! theorem the index itself uses, and the top-k early cut provably equals
-//! the full sort (see [`SparseVector::top_k_early_cut`]).
+//! the full sort (see [`SparseVector::top_k_early_cut`]). Sharding and
+//! threading change throughput, never bits (pinned differentially in
+//! `tests/concurrent_serving.rs`): cache residency only decides *where* a
+//! PPV comes from, assembly is per-request pure given the per-source
+//! PPVs, and shard routing is deterministic.
 
 use crate::cache::CacheStats;
+use crate::degrade::Answer;
 use crate::shard::ShardSet;
 use ppr_cluster::{
-    Cluster, ClusterConfig, DistributedQueryable, NetworkModel, ParallelismMode,
+    Cluster, ClusterConfig, DistributedQueryable, FanoutOutcome, NetworkModel, ParallelismMode,
 };
 use ppr_core::{Scratch, SparseVector};
 use ppr_graph::NodeId;
@@ -40,12 +52,11 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Network model for the modeled wire time of each round.
     pub network: NetworkModel,
-    /// Reader shards (hash-partitioned PPV cache + one assembly worker
-    /// per shard). Honored by
-    /// [`ShardedPprServer`](crate::ShardedPprServer) and
-    /// [`DynamicPprServer`](crate::DynamicPprServer); [`PprServer`]
-    /// always runs one shard. The `repro serve` load generator reads
-    /// `PPR_SERVE_SHARDS` into this field.
+    /// Reader shards: the PPV cache is hash-partitioned into this many
+    /// shards and, when `parallelism` is on, a batch's responses are
+    /// assembled on one scoped worker per shard. `1` (the default)
+    /// assembles in the calling thread. The `repro serve` load generator
+    /// reads `PPR_SERVE_SHARDS` into this field.
     pub shards: usize,
     /// How the cluster fan-out (and, where shards > 1, response
     /// assembly) executes. Defaults to [`ParallelismMode::from_env`], so
@@ -172,11 +183,16 @@ impl ServeStats {
     }
 }
 
-/// A serving front-end over one distributed PPR index.
+/// A serving front-end over one borrowed distributed PPR index.
+///
+/// `ServeConfig::shards` reader shards each own a hash-partitioned slice
+/// of the PPV cache; answers are bit-identical at every shard count and
+/// parallelism mode.
 ///
 /// ```
 /// use ppr_core::hgpa::{HgpaBuildOptions, HgpaIndex};
 /// use ppr_core::PprConfig;
+/// use ppr_cluster::ParallelismMode;
 /// use ppr_graph::generators::{hierarchical_sbm, HsbmConfig};
 /// use ppr_serve::{PprServer, Request, ServeConfig};
 ///
@@ -191,109 +207,103 @@ impl ServeStats {
 /// assert_eq!(server.top_k(5, 3), cold.top_k(3)); // also a cache hit
 /// assert_eq!(server.stats().cached_sources, 2);
 /// assert_eq!(server.stats().fresh_sources, 1);
+///
+/// // Reader shards and threads are configuration, not another server.
+/// let mut sharded = PprServer::new(&index, ServeConfig {
+///     shards: 4,
+///     parallelism: ParallelismMode::Threads(4),
+///     ..Default::default()
+/// });
+/// assert_eq!(sharded.query(5), cold); // bit-identical
+/// assert_eq!(sharded.shard_count(), 4);
 /// ```
 pub struct PprServer<'i, I: DistributedQueryable> {
     index: &'i I,
-    cluster: Cluster,
-    cache: ShardSet,
-    config: ServeConfig,
-    stats: ServeStats,
+    core: ServerCore,
 }
 
 impl<'i, I: DistributedQueryable> PprServer<'i, I> {
-    /// Serve queries from `index` under `config`. `config.shards` is
-    /// ignored: this front-end always runs one cache shard and assembles
-    /// responses in the calling thread (the cluster fan-out underneath
-    /// still honors `config.parallelism`); use
-    /// [`ShardedPprServer`](crate::ShardedPprServer) for reader shards.
+    /// Serve queries from `index` under `config`, with
+    /// `config.shards.max(1)` reader shards.
     pub fn new(index: &'i I, config: ServeConfig) -> Self {
         Self {
             index,
-            cluster: Cluster::new(ClusterConfig {
-                machines: index.machines(),
-                network: config.network,
-                parallelism: config.parallelism,
-            }),
-            cache: ShardSet::new(1, config.cache_capacity_bytes),
-            config,
-            stats: ServeStats::default(),
+            core: ServerCore::new(index.machines(), config),
         }
     }
 
     /// Answer a request stream, coalescing up to `max_batch` requests per
     /// fan-out round. Responses come back in request order.
     pub fn serve(&mut self, requests: &[Request]) -> Vec<Response> {
-        let chunk = self.config.max_batch.max(1);
-        let mut out = Vec::with_capacity(requests.len());
-        for batch in requests.chunks(chunk) {
-            out.extend(self.run_batch(batch).responses);
-        }
-        out
+        self.core.serve(self.index, requests)
     }
 
     /// Execute one batch in (at most) one cluster fan-out round.
     pub fn run_batch(&mut self, requests: &[Request]) -> BatchOutcome {
-        execute_batch(
-            self.index,
-            &self.cluster,
-            &mut self.cache,
-            &self.config,
-            &mut self.stats,
-            requests,
-            ParallelismMode::Sequential, // single shard → in-thread assembly
-        )
+        self.core.run_batch(self.index, requests)
+    }
+
+    /// Answer a request stream under **admission control**: the first
+    /// `cap` requests are admitted and served exactly (same coalescing as
+    /// [`PprServer::serve`]), the remainder are shed up front as
+    /// [`Answer::Shed`] without touching the cluster or the cache. Answers
+    /// come back in request order — every request resolves to exactly one
+    /// [`Answer`], so overload degrades to explicit rejections, never to
+    /// silent drops or unbounded queueing.
+    pub fn serve_bounded(&mut self, requests: &[Request], cap: usize) -> Vec<Answer> {
+        let admitted = cap.min(requests.len());
+        let mut out: Vec<Answer> = self
+            .serve(&requests[..admitted])
+            .into_iter()
+            .map(Answer::Exact)
+            .collect();
+        out.resize(requests.len(), Answer::Shed);
+        out
     }
 
     /// Single-request convenience: exact PPV of `u`.
     pub fn query(&mut self, u: NodeId) -> SparseVector {
-        match self.run_batch(&[Request::Ppv(u)]).responses.pop() {
-            Some(Response::Ppv(v)) => v,
-            // audit:allow(serve-panic): execute_batch maps each request to its
-            // same-variant response in order
-            _ => unreachable!("Ppv request yields Ppv response"),
-        }
+        self.core.query(self.index, u)
     }
 
     /// Single-request convenience: exact preference-set PPV.
     pub fn query_preference(&mut self, preference: &[(NodeId, f64)]) -> SparseVector {
-        let req = Request::Preference(preference.to_vec());
-        match self.run_batch(&[req]).responses.pop() {
-            Some(Response::Ppv(v)) => v,
-            // audit:allow(serve-panic): execute_batch maps each request to its
-            // same-variant response in order
-            _ => unreachable!("Preference request yields Ppv response"),
-        }
+        self.core.query_preference(self.index, preference)
     }
 
     /// Single-request convenience: exact top-k of `u`'s PPV.
     pub fn top_k(&mut self, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        let req = Request::TopK { source: u, k };
-        match self.run_batch(&[req]).responses.pop() {
-            Some(Response::TopK(t)) => t,
-            // audit:allow(serve-panic): execute_batch maps each request to its
-            // same-variant response in order
-            _ => unreachable!("TopK request yields TopK response"),
-        }
+        self.core.top_k(self.index, u, k)
     }
 
     /// Cumulative serving counters.
     pub fn stats(&self) -> &ServeStats {
-        &self.stats
+        &self.core.stats
     }
 
-    /// Cumulative cache counters.
+    /// Cumulative cache counters, summed over shards.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.core.cache.stats()
+    }
+
+    /// Cumulative cache counters per shard, in shard order.
+    pub fn shard_stats(&self) -> Vec<CacheStats> {
+        self.core.cache.per_shard_stats()
+    }
+
+    /// Number of reader shards.
+    pub fn shard_count(&self) -> usize {
+        self.core.cache.shard_count()
     }
 
     /// Bytes currently resident in the PPV cache.
     pub fn cache_bytes(&self) -> u64 {
-        self.cache.bytes()
+        self.core.cache.bytes()
     }
 
     /// Resident cache entries.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.core.cache.len()
     }
 
     /// Drop every cached PPV (call after mutating the underlying index,
@@ -306,100 +316,235 @@ impl<'i, I: DistributedQueryable> PprServer<'i, I> {
     /// only the sources an update can actually affect, see
     /// [`DynamicPprServer`](crate::DynamicPprServer).
     pub fn invalidate_cache(&mut self) {
-        self.cache.clear();
+        self.core.cache.clear();
     }
 
     /// The serving configuration.
     pub fn config(&self) -> &ServeConfig {
-        &self.config
+        &self.core.config
     }
 }
 
-/// The shared batch engine: one batch, at most one cluster fan-out round.
-/// [`PprServer`] (borrowed static index, one shard),
-/// [`ShardedPprServer`](crate::ShardedPprServer) (N reader shards), and
-/// [`DynamicPprServer`](crate::DynamicPprServer) (owned mutable index)
-/// all delegate here, so the caching/batching/assembly semantics — and
-/// the exactness tests that pin them — cover every front-end. `assembly`
-/// selects where responses are assembled: in the calling thread, or
-/// chunked over that many scoped workers (one per reader shard), each
-/// with its own [`Scratch`] arena — bit-identical either way, since
-/// assembly is per-request pure given the per-source PPVs.
-pub(crate) fn execute_batch<I: DistributedQueryable>(
-    index: &I,
-    cluster: &Cluster,
-    cache: &mut ShardSet,
-    config: &ServeConfig,
-    stats: &mut ServeStats,
-    requests: &[Request],
-    assembly: ParallelismMode,
-) -> BatchOutcome {
-    let t0 = Stopwatch::start();
+/// Whether — and how — a batch may run its fan-out round.
+#[derive(Clone, Copy)]
+pub(crate) enum RoundPolicy {
+    /// [`Cluster::query_many`]: always exact, always answered.
+    Exact,
+    /// [`Cluster::try_query_many`]: machine failures are reported; an
+    /// incomplete round leaves the batch unanswered.
+    Resilient,
+    /// No fan-out at all (the queue already blew its SLO): the batch is
+    /// probed and left unanswered.
+    NoRound,
+}
 
-    // Distinct sources, first-appearance order. Probe the cache once
-    // per distinct source so recency and hit accounting are per batch,
-    // not per duplicate.
-    let mut missing: Vec<NodeId> = Vec::new();
-    let mut probed: HashSet<NodeId> = HashSet::new();
-    for req in requests {
-        for u in req.sources() {
-            if probed.insert(u) && cache.get(u).is_none() {
-                missing.push(u);
+/// What [`ServerCore::execute`] did with one batch.
+pub(crate) struct Executed {
+    /// Exact responses, parallel to the requests — or `None` when the
+    /// policy left the batch unanswered (incomplete round, or no round);
+    /// the cache and [`ServeStats`] are then untouched beyond the probe,
+    /// and the caller degrades from `missing`.
+    pub responses: Option<Vec<Response>>,
+    /// Distinct sources the probe did not find, first-appearance order.
+    pub missing: Vec<NodeId>,
+    /// Distinct sources served from cache.
+    pub cached_sources: usize,
+    /// The round's per-machine outcome, when one ran.
+    pub outcome: Option<FanoutOutcome>,
+    /// Modeled wire time of the round (delivered replies only).
+    pub modeled_network_seconds: f64,
+    /// Modeled seconds the round lost to scripted faults.
+    pub modeled_fault_seconds: f64,
+    /// Bytes that reached the coordinator in the round.
+    pub round_bytes: u64,
+    /// Real wall-clock seconds spent in `execute`.
+    pub seconds: f64,
+}
+
+/// The state every front-end shares, and the one batch engine over it.
+/// The index is passed per call: [`PprServer`] borrows a frozen one,
+/// [`DynamicPprServer`](crate::DynamicPprServer) owns one it mutates
+/// between batches.
+pub(crate) struct ServerCore {
+    pub cluster: Cluster,
+    pub cache: ShardSet,
+    pub config: ServeConfig,
+    pub stats: ServeStats,
+}
+
+impl ServerCore {
+    pub fn new(machines: usize, config: ServeConfig) -> Self {
+        Self {
+            cluster: Cluster::new(ClusterConfig {
+                machines,
+                network: config.network,
+                parallelism: config.parallelism,
+            }),
+            cache: ShardSet::new(config.shards.max(1), config.cache_capacity_bytes),
+            config,
+            stats: ServeStats::default(),
+        }
+    }
+
+    /// One batch, at most one cluster fan-out round: probe → round →
+    /// assemble → admit → account.
+    pub fn execute<I: DistributedQueryable>(
+        &mut self,
+        index: &I,
+        requests: &[Request],
+        policy: RoundPolicy,
+    ) -> Executed {
+        let t0 = Stopwatch::start();
+
+        // Distinct sources, first-appearance order. Probe the cache once
+        // per distinct source so recency and hit accounting are per batch,
+        // not per duplicate.
+        let mut missing: Vec<NodeId> = Vec::new();
+        let mut probed: HashSet<NodeId> = HashSet::new();
+        for req in requests {
+            for u in req.sources() {
+                if probed.insert(u) && self.cache.get(u).is_none() {
+                    missing.push(u);
+                }
             }
         }
-    }
-    let cached_sources = probed.len() - missing.len();
+        let mut done = Executed {
+            responses: None,
+            cached_sources: probed.len() - missing.len(),
+            missing,
+            outcome: None,
+            modeled_network_seconds: 0.0,
+            modeled_fault_seconds: 0.0,
+            round_bytes: 0,
+            seconds: 0.0,
+        };
 
-    // One fan-out round answers every missing source (Eq. 5/7: each
-    // machine ships one reply vector per source; sums are exact PPVs).
-    // Fresh PPVs are admitted to the cache only *after* assembly —
-    // inserting first could evict a resident entry that another
-    // request in this very batch probed successfully.
-    let mut fresh: HashMap<NodeId, SparseVector> = HashMap::new();
-    let mut modeled_network_seconds = 0.0;
-    let mut round_bytes = 0;
-    if !missing.is_empty() {
-        let round = cluster.query_many(index, &missing);
-        modeled_network_seconds = round.modeled_network_seconds;
-        round_bytes = round.total_bytes();
-        stats.rounds += 1;
-        for (u, ppv) in missing.iter().copied().zip(round.results) {
-            fresh.insert(u, ppv);
+        // One fan-out round answers every missing source (Eq. 5/7: each
+        // machine ships one reply vector per source; sums are exact PPVs).
+        // An incomplete round contributes nothing: a partial Eq. 5 sum is
+        // silently wrong, which is worse than visibly approximate.
+        let round = match policy {
+            RoundPolicy::NoRound => return done,
+            _ if done.missing.is_empty() => None,
+            RoundPolicy::Exact => Some(self.cluster.query_many(index, &done.missing)),
+            RoundPolicy::Resilient => Some(self.cluster.try_query_many(index, &done.missing)),
+        };
+        let mut fresh: HashMap<NodeId, SparseVector> = HashMap::new();
+        if let Some(round) = round {
+            done.modeled_network_seconds = round.modeled_network_seconds;
+            done.modeled_fault_seconds = round.modeled_fault_seconds;
+            done.round_bytes = round.total_bytes();
+            let complete = round.complete();
+            done.outcome = Some(round.outcome);
+            if !complete {
+                return done;
+            }
+            self.stats.rounds += 1;
+            fresh.extend(done.missing.iter().copied().zip(round.results));
         }
-    }
 
-    let responses = assemble(index, &fresh, cache, requests, assembly);
+        let assembly = self.cache.assembly_mode(self.config.parallelism);
+        let responses = assemble(index, &fresh, &self.cache, requests, assembly);
 
-    // Admit the round's PPVs in batch order (deterministic recency).
-    if config.cache_capacity_bytes > 0 {
-        for &u in &missing {
-            if let Some(ppv) = fresh.remove(&u) {
-                cache.insert(u, ppv);
+        // Admit the round's PPVs in batch order (deterministic recency),
+        // and only *after* assembly — inserting first could evict a
+        // resident entry that another request in this very batch probed
+        // successfully.
+        if self.config.cache_capacity_bytes > 0 {
+            for &u in &done.missing {
+                if let Some(ppv) = fresh.remove(&u) {
+                    self.cache.insert(u, ppv);
+                }
             }
         }
+
+        done.seconds = t0.elapsed_seconds();
+        self.stats.requests += requests.len() as u64;
+        self.stats.batches += 1;
+        self.stats.fresh_sources += done.missing.len() as u64;
+        self.stats.cached_sources += done.cached_sources as u64;
+        self.stats.busy_seconds += done.seconds;
+        self.stats.modeled_network_seconds += done.modeled_network_seconds;
+        self.stats.round_bytes += done.round_bytes;
+        done.responses = Some(responses);
+        done
     }
 
-    let seconds = t0.elapsed_seconds();
-    stats.requests += requests.len() as u64;
-    stats.batches += 1;
-    stats.fresh_sources += missing.len() as u64;
-    stats.cached_sources += cached_sources as u64;
-    stats.busy_seconds += seconds;
-    stats.modeled_network_seconds += modeled_network_seconds;
-    stats.round_bytes += round_bytes;
+    /// [`ServerCore::execute`] under [`RoundPolicy::Exact`], which always
+    /// answers.
+    pub fn run_batch<I: DistributedQueryable>(
+        &mut self,
+        index: &I,
+        requests: &[Request],
+    ) -> BatchOutcome {
+        let done = self.execute(index, requests, RoundPolicy::Exact);
+        BatchOutcome {
+            responses: done.responses.unwrap_or_default(),
+            cached_sources: done.cached_sources,
+            fresh_sources: done.missing.len(),
+            seconds: done.seconds,
+            modeled_network_seconds: done.modeled_network_seconds,
+            round_bytes: done.round_bytes,
+        }
+    }
 
-    BatchOutcome {
-        responses,
-        cached_sources,
-        fresh_sources: missing.len(),
-        seconds,
-        modeled_network_seconds,
-        round_bytes,
+    /// Answer a request stream, coalescing up to `max_batch` requests per
+    /// fan-out round.
+    pub fn serve<I: DistributedQueryable>(
+        &mut self,
+        index: &I,
+        requests: &[Request],
+    ) -> Vec<Response> {
+        let chunk = self.config.max_batch.max(1);
+        let mut out = Vec::with_capacity(requests.len());
+        for batch in requests.chunks(chunk) {
+            out.extend(self.run_batch(index, batch).responses);
+        }
+        out
+    }
+
+    pub fn query<I: DistributedQueryable>(&mut self, index: &I, u: NodeId) -> SparseVector {
+        match self.run_batch(index, &[Request::Ppv(u)]).responses.pop() {
+            Some(Response::Ppv(v)) => v,
+            // audit:allow(serve-panic): execute maps each request to its
+            // same-variant response in order
+            _ => unreachable!("Ppv request yields Ppv response"),
+        }
+    }
+
+    pub fn query_preference<I: DistributedQueryable>(
+        &mut self,
+        index: &I,
+        preference: &[(NodeId, f64)],
+    ) -> SparseVector {
+        let req = Request::Preference(preference.to_vec());
+        match self.run_batch(index, &[req]).responses.pop() {
+            Some(Response::Ppv(v)) => v,
+            // audit:allow(serve-panic): execute maps each request to its
+            // same-variant response in order
+            _ => unreachable!("Preference request yields Ppv response"),
+        }
+    }
+
+    pub fn top_k<I: DistributedQueryable>(
+        &mut self,
+        index: &I,
+        u: NodeId,
+        k: usize,
+    ) -> Vec<(NodeId, f64)> {
+        let req = Request::TopK { source: u, k };
+        match self.run_batch(index, &[req]).responses.pop() {
+            Some(Response::TopK(t)) => t,
+            // audit:allow(serve-panic): execute maps each request to its
+            // same-variant response in order
+            _ => unreachable!("TopK request yields TopK response"),
+        }
     }
 }
 
 /// Assemble per-request responses from the per-source exact PPVs, either
-/// in the calling thread or chunked over scoped workers.
+/// in the calling thread or chunked over `assembly` scoped workers, each
+/// with its own [`Scratch`] arena.
 ///
 /// Lookups borrow (only `Ppv` responses clone, to hand the vector out);
 /// preference requests accumulate through the worker's own [`Scratch`]
@@ -407,7 +552,7 @@ pub(crate) fn execute_batch<I: DistributedQueryable>(
 /// during this phase the shards are shared read-only across workers, and
 /// each response depends only on its own request plus the resolved PPVs,
 /// so chunking cannot change any response's bits.
-pub(crate) fn assemble<I: DistributedQueryable>(
+fn assemble<I: DistributedQueryable>(
     index: &I,
     fresh: &HashMap<NodeId, SparseVector>,
     cache: &ShardSet,

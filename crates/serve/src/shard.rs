@@ -1,30 +1,20 @@
-//! Sharded serving: N reader shards over one hash-partitioned PPV cache.
+//! The sharded PPV cache: N reader shards over one hash-partitioned LRU.
 //!
-//! [`PprServer`](crate::PprServer) owns a single LRU cache and assembles
-//! every response in the calling thread. [`ShardedPprServer`] splits the
-//! cache into `ServeConfig::shards` independent shards (sources routed by
-//! a multiplicative hash) and assembles a batch's responses on one scoped
-//! worker thread per shard, while the cluster fan-out underneath runs its
-//! machines concurrently too ([`ParallelismMode`]). The result is the
-//! real-parallel serving path the ROADMAP's "fast as the hardware allows"
-//! north star asks for — with the hard invariant that every answer is
-//! **bit-identical** to the sequential server's (pinned differentially in
-//! `tests/concurrent_serving.rs`):
-//!
-//! * cache residency only decides *where* a PPV comes from, never its
-//!   bits (whole exact PPVs are cached);
-//! * response assembly is per-request pure given the per-source PPVs, so
-//!   splitting requests across workers cannot change any response;
-//! * the shard routing is deterministic, so runs are reproducible.
+//! Every server holds one [`ShardSet`] with `ServeConfig::shards` shards
+//! (sources routed by a multiplicative hash). One shard behaves exactly
+//! like a single [`PpvCache`]; with more, a batch's responses are
+//! assembled on one scoped worker thread per shard while the cluster
+//! fan-out underneath runs its machines concurrently too
+//! ([`ParallelismMode`]) — with the hard invariant that every answer is
+//! **bit-identical** to the one-shard sequential configuration (pinned
+//! differentially in `tests/concurrent_serving.rs`).
 //!
 //! Sharding also bounds writer stalls in the dynamic server: update
 //! batches invalidate each shard independently (in parallel), see
 //! [`DynamicPprServer`](crate::DynamicPprServer)'s epoch discipline.
 
 use crate::cache::{CacheStats, PpvCache};
-use crate::degrade::Answer;
-use crate::server::{execute_batch, BatchOutcome, Request, Response, ServeConfig, ServeStats};
-use ppr_cluster::{Cluster, ClusterConfig, DistributedQueryable, ParallelismMode};
+use ppr_cluster::ParallelismMode;
 use ppr_core::SparseVector;
 use ppr_graph::NodeId;
 
@@ -112,8 +102,8 @@ impl ShardSet {
 
     /// The reader-side assembly mode for this shard set: one scoped
     /// worker per shard, unless `mode` is sequential (the global
-    /// off-switch the `PPR_TEST_THREADS=1` CI lane exercises). Shared by
-    /// every sharded front-end so the off-switch rule cannot diverge.
+    /// off-switch the `PPR_TEST_THREADS=1` CI lane exercises). One shard
+    /// yields one worker, which assembles in the calling thread.
     pub(crate) fn assembly_mode(&self, mode: ParallelismMode) -> ParallelismMode {
         if mode.is_parallel() {
             ParallelismMode::Threads(self.shard_count())
@@ -170,172 +160,5 @@ impl ShardSet {
             }
             total
         }
-    }
-}
-
-/// A concurrent serving front-end over one distributed PPR index: the
-/// sharded counterpart of [`PprServer`](crate::PprServer).
-///
-/// `ServeConfig::shards` reader shards each own a hash-partitioned slice
-/// of the PPV cache; a batch's responses are assembled on one scoped
-/// worker thread per shard and the cluster fan-out underneath runs
-/// machines concurrently (`ServeConfig::parallelism`). Answers are
-/// bit-identical to [`PprServer`](crate::PprServer)'s for any request
-/// stream — sharding changes throughput, never bits.
-///
-/// ```
-/// use ppr_core::hgpa::{HgpaBuildOptions, HgpaIndex};
-/// use ppr_core::PprConfig;
-/// use ppr_cluster::ParallelismMode;
-/// use ppr_graph::generators::{hierarchical_sbm, HsbmConfig};
-/// use ppr_serve::{PprServer, ShardedPprServer, ServeConfig};
-///
-/// let graph = hierarchical_sbm(&HsbmConfig { nodes: 200, ..Default::default() }, 9);
-/// let cfg = PprConfig { epsilon: 1e-7, ..Default::default() };
-/// let index = HgpaIndex::build(&graph, &cfg, &HgpaBuildOptions::default());
-///
-/// let mut sharded = ShardedPprServer::new(&index, ServeConfig {
-///     shards: 4,
-///     parallelism: ParallelismMode::Threads(4),
-///     ..Default::default()
-/// });
-/// let mut sequential = PprServer::new(&index, ServeConfig {
-///     parallelism: ParallelismMode::Sequential,
-///     ..Default::default()
-/// });
-/// assert_eq!(sharded.query(5), sequential.query(5)); // bit-identical
-/// assert_eq!(sharded.shard_count(), 4);
-/// ```
-pub struct ShardedPprServer<'i, I: DistributedQueryable> {
-    index: &'i I,
-    cluster: Cluster,
-    shards: ShardSet,
-    config: ServeConfig,
-    stats: ServeStats,
-}
-
-impl<'i, I: DistributedQueryable> ShardedPprServer<'i, I> {
-    /// Serve queries from `index` under `config`, with
-    /// `config.shards.max(1)` reader shards.
-    pub fn new(index: &'i I, config: ServeConfig) -> Self {
-        Self {
-            index,
-            cluster: Cluster::new(ClusterConfig {
-                machines: index.machines(),
-                network: config.network,
-                parallelism: config.parallelism,
-            }),
-            shards: ShardSet::new(config.shards.max(1), config.cache_capacity_bytes),
-            config,
-            stats: ServeStats::default(),
-        }
-    }
-
-    /// Answer a request stream, coalescing up to `max_batch` requests per
-    /// fan-out round. Responses come back in request order.
-    pub fn serve(&mut self, requests: &[Request]) -> Vec<Response> {
-        let chunk = self.config.max_batch.max(1);
-        let mut out = Vec::with_capacity(requests.len());
-        for batch in requests.chunks(chunk) {
-            out.extend(self.run_batch(batch).responses);
-        }
-        out
-    }
-
-    /// Execute one batch: same engine as
-    /// [`PprServer::run_batch`](crate::PprServer::run_batch), with
-    /// sharded cache probes and per-shard assembly workers.
-    pub fn run_batch(&mut self, requests: &[Request]) -> BatchOutcome {
-        let assembly = self.shards.assembly_mode(self.config.parallelism);
-        execute_batch(
-            self.index,
-            &self.cluster,
-            &mut self.shards,
-            &self.config,
-            &mut self.stats,
-            requests,
-            assembly,
-        )
-    }
-
-    /// Answer a request stream under **admission control**: the first
-    /// `cap` requests are admitted and served exactly (same coalescing as
-    /// [`ShardedPprServer::serve`]), the remainder are shed up front as
-    /// [`Answer::Shed`] without touching the cluster or the cache. Answers
-    /// come back in request order — every request resolves to exactly one
-    /// [`Answer`], so overload degrades to explicit rejections, never to
-    /// silent drops or unbounded queueing.
-    pub fn serve_bounded(&mut self, requests: &[Request], cap: usize) -> Vec<Answer> {
-        let admitted = cap.min(requests.len());
-        let mut out: Vec<Answer> = self.serve(&requests[..admitted])
-            .into_iter()
-            .map(Answer::Exact)
-            .collect();
-        out.resize(requests.len(), Answer::Shed);
-        out
-    }
-
-    /// Single-request convenience: exact PPV of `u`.
-    pub fn query(&mut self, u: NodeId) -> SparseVector {
-        match self.run_batch(&[Request::Ppv(u)]).responses.pop() {
-            Some(Response::Ppv(v)) => v,
-            // audit:allow(serve-panic): execute_batch maps each request to its
-            // same-variant response in order
-            _ => unreachable!("Ppv request yields Ppv response"),
-        }
-    }
-
-    /// Single-request convenience: exact top-k of `u`'s PPV.
-    pub fn top_k(&mut self, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        match self
-            .run_batch(&[Request::TopK { source: u, k }])
-            .responses
-            .pop()
-        {
-            Some(Response::TopK(t)) => t,
-            // audit:allow(serve-panic): execute_batch maps each request to its
-            // same-variant response in order
-            _ => unreachable!("TopK request yields TopK response"),
-        }
-    }
-
-    /// Cumulative serving counters.
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
-    }
-
-    /// Cumulative cache counters, summed over shards.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shards.stats()
-    }
-
-    /// Cumulative cache counters per shard, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.per_shard_stats()
-    }
-
-    /// Number of reader shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.shard_count()
-    }
-
-    /// Resident cache entries across shards.
-    pub fn cache_len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Bytes currently resident across shards.
-    pub fn cache_bytes(&self) -> u64 {
-        self.shards.bytes()
-    }
-
-    /// Drop every cached PPV in every shard.
-    pub fn invalidate_cache(&mut self) {
-        self.shards.clear();
-    }
-
-    /// The serving configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 }

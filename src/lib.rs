@@ -79,7 +79,6 @@ pub mod prelude {
     pub use ppr_serve::{
         Answer, ArrivalPattern, ColdStart, Degrader, DynamicPprServer, OpenLoopConfig,
         OpenLoopReport, PprServer, Request, Response, ServeConfig, ServeEvent, ServiceModel,
-        ShardedPprServer,
     };
     pub use ppr_workload::{
         fault_script, Dataset, DatasetSpec, FaultScript, MixedEvent, MixedStream,

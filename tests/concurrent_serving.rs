@@ -1,11 +1,11 @@
 //! Concurrency exactness: the threaded cluster fan-out, the sharded
-//! server, and the epoch-barrier dynamic server must be **bit-identical**
-//! to their sequential counterparts on any workload —
+//! server configuration, and the epoch-barrier dynamic server must be
+//! **bit-identical** to their sequential counterparts on any workload —
 //!
 //! * a threaded fan-out round equals the sequential round entry for
 //!   entry (same replies, same coordinator sum);
-//! * `ShardedPprServer` answers any mixed request stream exactly like
-//!   the single-shard `PprServer`, at every shard count;
+//! * a sharded+threaded `PprServer` answers any mixed request stream
+//!   exactly like the single-shard sequential one, at every shard count;
 //! * a sharded+threaded `DynamicPprServer` tracks a fully sequential one
 //!   through interleaved read/write streams (proptest-driven);
 //! * shard-partitioned caches retain provably unaffected entries across
@@ -19,7 +19,7 @@ use exact_ppr::graph::{CsrGraph, GraphBuilder, NodeId};
 use exact_ppr::partition::HierarchyConfig;
 use exact_ppr::prelude::{
     Cluster, ClusterConfig, DynamicPprServer, EdgeUpdate, GpaBuildOptions, GpaIndex,
-    ParallelismMode, PprServer, Request, ServeConfig, ShardedPprServer,
+    ParallelismMode, PprServer, Request, ServeConfig,
 };
 use exact_ppr::workload::{MixedEvent, MixedStream, MixedStreamConfig};
 use proptest::prelude::*;
@@ -123,7 +123,7 @@ fn sharded_server_is_bit_identical_to_sequential_server() {
     let requests = request_stream(260, 120, 0xC0FFEE);
     for shards in [2usize, 3, 4, 8] {
         let mut reference = PprServer::new(&idx, sequential_config());
-        let mut sharded = ShardedPprServer::new(&idx, sharded_config(shards));
+        let mut sharded = PprServer::new(&idx, sharded_config(shards));
         assert_eq!(sharded.shard_count(), shards);
         let want = reference.serve(&requests);
         let got = sharded.serve(&requests);
@@ -168,7 +168,7 @@ fn sharded_server_with_cache_disabled_still_matches() {
             ..sequential_config()
         },
     );
-    let mut sharded = ShardedPprServer::new(
+    let mut sharded = PprServer::new(
         &idx,
         ServeConfig {
             cache_capacity_bytes: 0,

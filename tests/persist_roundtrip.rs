@@ -19,7 +19,7 @@ use exact_ppr::graph::csr::from_edges;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use exact_ppr::graph::{CsrGraph, NodeId};
 use exact_ppr::partition::HierarchyConfig;
-use exact_ppr::serve::{ColdStart, PprServer, Request, Response, ServeConfig, ShardedPprServer};
+use exact_ppr::serve::{ColdStart, PprServer, Request, Response, ServeConfig};
 use proptest::prelude::*;
 
 /// Strategy: a random directed graph with 12..=80 nodes.
@@ -272,10 +272,10 @@ fn file_cold_start_on_community_graph() {
     // Served answers go through the cluster fan-out (per-machine partial
     // sums), so the in-memory reference must be the same server type, not
     // a raw `query()` — summation order is part of the bit pattern.
-    let mem_hgpa = ShardedPprServer::new(&hgpa, ServeConfig::default())
+    let mem_hgpa = PprServer::new(&hgpa, ServeConfig::default())
         .run_batch(&[Request::Ppv(11)])
         .responses;
-    let mem_gpa = ShardedPprServer::new(&gpa, ServeConfig::default())
+    let mem_gpa = PprServer::new(&gpa, ServeConfig::default())
         .run_batch(&[Request::Ppv(11)])
         .responses;
 
@@ -285,7 +285,7 @@ fn file_cold_start_on_community_graph() {
     ] {
         let cold = ColdStart::from_path(dir.join(file), ServeConfig::default()).unwrap();
         assert!(bits_equal(&cold.index().query(11), &built_ppv), "{file}");
-        let mut server = cold.sharded_server();
+        let mut server = cold.server();
         let out = server.run_batch(&[Request::Ppv(11)]);
         assert!(
             responses_bits_equal(&out.responses[0], &in_memory[0]),

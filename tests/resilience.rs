@@ -15,7 +15,7 @@
 //! * **No silent drops.** In the open loop every driven event resolves:
 //!   `queries + shed + update_batches + rejected_batches == events`, and
 //!   the whole report replays bit-identically.
-//! * **Admission control is explicit.** [`ShardedPprServer::serve_bounded`]
+//! * **Admission control is explicit.** [`PprServer::serve_bounded`]
 //!   answers the admitted prefix exactly and marks the rest
 //!   [`Answer::Shed`] — never truncating the reply vector.
 
@@ -26,8 +26,8 @@ use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use exact_ppr::graph::{CsrGraph, NodeId};
 use exact_ppr::partition::HierarchyConfig;
 use exact_ppr::serve::{
-    run_open_loop, Answer, ArrivalPattern, DynamicPprServer, OpenLoopConfig, Request, Response,
-    ServeConfig, ServeEvent, ServiceModel, ShardedPprServer,
+    run_open_loop, Answer, ArrivalPattern, DynamicPprServer, OpenLoopConfig, PprServer, Request,
+    Response, ServeConfig, ServeEvent, ServiceModel,
 };
 use exact_ppr::workload::{MixedEvent, MixedStream, MixedStreamConfig};
 use proptest::prelude::*;
@@ -228,10 +228,10 @@ fn serve_bounded_sheds_the_tail_explicitly() {
     let idx = HgpaIndex::build(&g, &PprConfig::default(), &opts(3));
     let requests = request_mix(80, 11, 10);
 
-    let mut reference = ShardedPprServer::new(&idx, ServeConfig::default());
+    let mut reference = PprServer::new(&idx, ServeConfig::default());
     let expected = reference.serve(&requests[..4]);
 
-    let mut server = ShardedPprServer::new(&idx, ServeConfig::default());
+    let mut server = PprServer::new(&idx, ServeConfig::default());
     let answers = server.serve_bounded(&requests, 4);
     assert_eq!(answers.len(), requests.len(), "one answer per request");
     for (answer, resp) in answers[..4].iter().zip(&expected) {
@@ -240,7 +240,7 @@ fn serve_bounded_sheds_the_tail_explicitly() {
     assert!(answers[4..].iter().all(Answer::is_shed), "the tail is shed, not dropped");
 
     // A cap beyond the batch sheds nothing.
-    let mut server = ShardedPprServer::new(&idx, ServeConfig::default());
+    let mut server = PprServer::new(&idx, ServeConfig::default());
     let all = server.serve_bounded(&requests[..4], 100);
     assert!(all.iter().all(Answer::is_exact));
 }

@@ -61,6 +61,16 @@ fn bits_equal(a: &SparseVector, b: &SparseVector) -> bool {
             .all(|((ia, va), (ib, vb))| ia == ib && va.to_bits() == vb.to_bits())
 }
 
+/// `kill -0` probes liveness without signalling; failure (ESRCH) means
+/// the process is gone.
+fn process_alive(pid: u32) -> bool {
+    std::process::Command::new("kill")
+        .args(["-0", &pid.to_string()])
+        .status()
+        .expect("spawn kill")
+        .success()
+}
+
 /// Plain fan-outs: batch, preference, and resilient rounds all answer
 /// bit-identically over the wire, and every machine's *measured* frame
 /// size equals the *modeled* byte count — one formula, two transports.
@@ -209,6 +219,77 @@ fn corrupt_reply_frame_is_recycled_not_trusted() {
     assert!(sock.supervisor_stats().restarts >= 1);
 }
 
+/// A machine that *exhausts* its socket attempts — killed, and unable
+/// to cold-start again because the snapshot is gone — is the one place
+/// the round's two failure policies differ. The exact entry points
+/// compute the missing share locally (same bits, bytes through the
+/// shared frame formula); the resilient ones report it missing, and the
+/// serving layer degrades with a bound and parks the sources.
+#[test]
+fn exhausted_machine_is_computed_locally_or_reported_missing() {
+    let g = sample(160, 71);
+    let idx = build_index(&g, 3);
+    let mut config = SocketConfig::new(idx.machines(), worker_command(), scratch_path("exhaust"));
+    config.handshake_deadline = std::time::Duration::from_millis(500);
+    let index_path = config.index_path.clone();
+    let sock = Arc::new(SocketCluster::launch(config, &idx, &g, 0).expect("launch socket cluster"));
+    let modeled = Cluster::with_default_network();
+    let mut socketed = Cluster::with_default_network();
+    socketed.attach_socket(sock.clone());
+    let mut server = DynamicPprServer::from_index(g.clone(), idx.clone(), ServeConfig::default());
+    server.attach_socket(sock.clone());
+
+    // No snapshot, no restart: every respawn of the victim now fails.
+    std::fs::remove_file(&index_path).expect("remove snapshot");
+    let victim = 1usize;
+    let pid = sock.worker_pids()[victim].expect("victim is live");
+    assert!(std::process::Command::new("kill")
+        .args(["-9", &pid.to_string()])
+        .status()
+        .expect("spawn kill")
+        .success());
+
+    // Exact path: the coordinator computes the victim's share itself.
+    let sources = [2u32, 64, 159];
+    let got = socketed.query_many(&idx, &sources);
+    let want = modeled.query_many(&idx, &sources);
+    assert!(got.complete());
+    for (vg, vw) in got.results.iter().zip(&want.results) {
+        assert!(bits_equal(vg, vw), "local fallback changed the answer");
+    }
+    for (mg, mw) in got.machines.iter().zip(&want.machines) {
+        assert_eq!(
+            mg.bytes_sent, mw.bytes_sent,
+            "fallback bytes != frame formula"
+        );
+        assert_eq!(mg.entries, mw.entries);
+    }
+
+    // Resilient path: the victim is reported, never computed around.
+    let partial = socketed.try_query_many(&idx, &sources);
+    assert!(!partial.complete());
+    assert_eq!(partial.outcome.missing(), vec![victim]);
+
+    // Serving layer: bounded approximate answers, sources parked.
+    let out = server.run_batch_resilient(&[Request::Ppv(2), Request::Ppv(64)]);
+    assert!(!out.round_complete);
+    assert_eq!(out.degraded_sources, 2);
+    for a in &out.answers {
+        assert!(a.is_approximate());
+        assert_eq!(a.precision_bound(), Some(server.degraded_bound()));
+    }
+    assert_eq!(server.backlog_len(), 2);
+    assert_eq!(server.cache_len(), 0, "nothing approximate is cached");
+
+    assert!(sock.supervisor_stats().spawn_failures > 0);
+    let survivors: Vec<u32> = sock.worker_pids().into_iter().flatten().collect();
+    assert_eq!(survivors.len(), 2, "only the victim is down");
+    sock.shutdown();
+    for pid in survivors.into_iter().chain([pid]) {
+        assert!(!process_alive(pid), "worker {pid} outlived the cluster");
+    }
+}
+
 /// Shutting the cluster down leaves no orphan worker processes.
 #[test]
 fn shutdown_reaps_every_worker() {
@@ -219,14 +300,7 @@ fn shutdown_reaps_every_worker() {
     assert_eq!(pids.len(), 2);
     sock.shutdown();
     for pid in pids {
-        // kill -0 probes liveness without signalling. ESRCH (failure)
-        // means the process is gone — which is what we demand.
-        let alive = std::process::Command::new("kill")
-            .args(["-0", &pid.to_string()])
-            .status()
-            .expect("spawn kill")
-            .success();
-        assert!(!alive, "worker {pid} outlived the cluster");
+        assert!(!process_alive(pid), "worker {pid} outlived the cluster");
     }
 }
 
