@@ -10,7 +10,8 @@
 //! hierarchy —
 //!
 //! * **leaf**: both endpoints share a home leaf — the most localized
-//!   change, touching one leaf plus the hub vectors that reach it;
+//!   change, touching one leaf plus the hub vectors whose runs read the
+//!   source's row;
 //! * **mid**: the endpoints' lowest common ancestor is an internal
 //!   subgraph below the root — the insert crosses children there and
 //!   forces a promotion cascade at that level;
@@ -19,7 +20,7 @@
 //!
 //! Each position reports wall seconds (min-of-N over a pristine cloned
 //! index per repetition), the speedup over the initial build, and the
-//! exact number of vectors the affected-region sweep recomputed. The
+//! exact number of vectors the read-set predicate could not skip. The
 //! speedups for **leaf and mid are floor-gated**: `repro bench-compare`
 //! fails if either ever drops to 1x or below, i.e. if incremental
 //! maintenance stops beating a from-scratch rebuild on localized
@@ -185,7 +186,7 @@ fn run_dataset(ds: Dataset, profile: &Profile, report: &mut BaselineReport, tabl
         for _ in 0..TIMING_REPS {
             // Pristine state per repetition: a cloned index and a cold
             // engine, so no repetition inherits the previous one's
-            // condensation cache or arenas.
+            // grown arenas.
             let mut fresh = idx.clone();
             let mut engine = MaintenanceEngine::new();
             let sw = ppr_core::parallel::Stopwatch::start();
@@ -328,5 +329,46 @@ mod tests {
         assert_eq!(gate_of("incr_speedup_web_leaf"), Gate::Floor);
         assert_eq!(gate_of("incr_speedup_web_mid"), Gate::Floor);
         assert_eq!(gate_of("incr_speedup_web_root"), Gate::Info);
+    }
+
+    #[test]
+    fn read_set_predicate_is_tight_on_web() {
+        use ppr_graph::{apply_delta, GraphDelta};
+        use ppr_workload::{MixedEvent, MixedStream, MixedStreamConfig};
+        // Looseness as a number: of the vectors the predicate could not
+        // skip, how many came out bit-identical anyway? Pinned for one
+        // seed so a coarser predicate shows up as a failed bound, not
+        // only as a slower benchmark.
+        let profile = Profile {
+            node_cap: Some(2_000),
+            queries: 2,
+            ..Profile::quick()
+        };
+        let mut g = dataset_graph(Dataset::Web, &profile);
+        let mut idx = HgpaIndex::build(&g, &PprConfig::default(), &default_hgpa_opts(4));
+        let config = MixedStreamConfig {
+            update_rate: 1.0,
+            updates_per_batch: 4,
+            ..Default::default()
+        };
+        let mut stream = MixedStream::new(&g, config, 1);
+        let mut engine = MaintenanceEngine::new();
+        let (mut recomputed, mut unchanged, mut skipped) = (0usize, 0usize, 0usize);
+        for _ in 0..8 {
+            let MixedEvent::Update(batch) = stream.next_event() else {
+                unreachable!("update_rate 1.0 yields only updates")
+            };
+            let applied = apply_delta(&g, &GraphDelta::from_edges(batch)).expect("valid batch");
+            let stats = engine.apply(&mut idx, &applied).expect("live endpoints");
+            recomputed += stats.vectors_recomputed;
+            unchanged += stats.vectors_unchanged;
+            skipped += stats.vectors_skipped;
+            g = applied.graph;
+        }
+        assert!(recomputed > 0 && skipped > recomputed, "{recomputed} vs {skipped} skipped");
+        assert!(
+            unchanged * 10 <= recomputed,
+            "{unchanged} of {recomputed} recomputed vectors were unchanged"
+        );
     }
 }

@@ -582,16 +582,17 @@ impl HgpaIndex {
         &mut self.hierarchy
     }
 
-    /// Replace a node's base vector (incremental updater).
-    pub(crate) fn set_base(&mut self, v: NodeId, vec: SparseVector) {
-        self.base[v as usize] = vec;
-    }
-
-    /// Replace a hub's skeleton column (incremental updater).
-    pub(crate) fn set_skeleton(&mut self, hub: NodeId, col: SparseVector) {
-        let rank = self.hub_rank[hub as usize];
-        assert_ne!(rank, u32::MAX, "node {hub} is not a registered hub");
-        self.skeletons[rank as usize] = col;
+    /// Split borrow for the incremental updater: the hierarchy, read-only,
+    /// beside the stored vectors it rewrites.
+    pub(crate) fn stored_vectors_mut(&mut self) -> (&Hierarchy, StoredVectors<'_>) {
+        (
+            &self.hierarchy,
+            StoredVectors {
+                base: &mut self.base,
+                hub_rank: &self.hub_rank,
+                skeletons: &mut self.skeletons,
+            },
+        )
     }
 
     /// Give a freshly promoted hub a storage rank and machine assignment.
@@ -720,6 +721,27 @@ impl HgpaIndex {
     }
 }
 
+/// The stored vectors of an [`HgpaIndex`], mutably (incremental updater).
+pub(crate) struct StoredVectors<'i> {
+    base: &'i mut [SparseVector],
+    hub_rank: &'i [u32],
+    skeletons: &'i mut [SparseVector],
+}
+
+impl StoredVectors<'_> {
+    /// Node `v`'s base vector.
+    pub(crate) fn base(&mut self, v: NodeId) -> &mut SparseVector {
+        &mut self.base[v as usize]
+    }
+
+    /// Hub `hub`'s skeleton column.
+    pub(crate) fn column(&mut self, hub: NodeId) -> &mut SparseVector {
+        let rank = self.hub_rank[hub as usize];
+        assert_ne!(rank, u32::MAX, "node {hub} is not a registered hub");
+        &mut self.skeletons[rank as usize]
+    }
+}
+
 /// Amortised query executor over one [`HgpaIndex`]: reuses a dense
 /// accumulator across calls (see [`HgpaIndex::session`]).
 pub struct QuerySession<'i> {
@@ -760,7 +782,7 @@ impl QuerySession<'_> {
 }
 
 /// Map a view-local sparse vector to global ids.
-fn map_to_global(v: &SparseVector, view: &ppr_graph::SubView) -> SparseVector {
+pub(crate) fn map_to_global(v: &SparseVector, view: &ppr_graph::SubView) -> SparseVector {
     SparseVector::from_entries(v.iter().map(|(l, x)| (view.global_of(l), x)).collect())
 }
 

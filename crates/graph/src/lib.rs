@@ -25,9 +25,8 @@
 //!   workload generator, the incremental index updater, and the serving
 //!   layer. Node removal tombstones the id (incident edges drop, the id
 //!   space stays dense); node addition appends the next dense id.
-//! * [`reach`] — reachability predicates (multi-source BFS both ways and
-//!   an SCC condensation), the conservative staleness predicate shared by
-//!   cache invalidation and incremental index maintenance.
+//! * [`reach`] — reverse reachability (multi-source BFS over in-edges),
+//!   the conservative staleness predicate of the serving cache.
 
 pub mod adjacency;
 pub mod analytics;
@@ -46,7 +45,7 @@ pub use delta::{
     apply_delta, apply_edge_updates, apply_effective_updates, AppliedDelta, AppliedGraphDelta,
     DeltaError, EdgeUpdate, GraphDelta, NodeUpdate,
 };
-pub use reach::{forward_reachable, reverse_reachable, SccCondensation};
+pub use reach::reverse_reachable;
 pub use view::{SubView, ViewBuilder};
 
 /// Node identifier. Graphs are limited to `u32::MAX` nodes, which keeps

@@ -7,22 +7,13 @@
 //! which cached PPVs an index update can actually affect (and, crucially,
 //! which it provably cannot — those survive the update).
 //!
-//! Two implementations with identical answers (cross-checked in tests):
-//!
-//! * [`reverse_reachable`] — one multi-source BFS over the *in*-adjacency,
-//!   O(V + E) per call; what the server uses per update batch.
-//!   [`forward_reachable`] is its out-adjacency twin (who is reached
-//!   *from* the touched set), the staleness predicate for skeleton
-//!   columns in incremental index maintenance.
-//! * [`SccCondensation`] — Tarjan condensation built once, then any number
-//!   of target sets answered by a backward sweep over the component DAG in
-//!   O(V + E) worst case but touching only component granularity; useful
-//!   when many predicates are evaluated against one graph snapshot (the
-//!   incremental updater reuses one across low-churn batches), and as an
-//!   independent oracle for the BFS.
+//! [`reverse_reachable`] answers it with one multi-source BFS over the
+//! *in*-adjacency, O(V + E) per update batch. (Index maintenance does not
+//! use reachability: on a strongly connected graph it proves nothing, so
+//! `ppr-core`'s updater decides per stored vector from the rows that
+//! vector's last run read.)
 
 use crate::csr::CsrGraph;
-use crate::scc::{strongly_connected_components, SccResult};
 use crate::NodeId;
 
 /// `out[s] == true` iff `s` can reach at least one node of `targets` in
@@ -55,129 +46,10 @@ pub fn reverse_reachable(g: &CsrGraph, targets: &[NodeId]) -> Vec<bool> {
     reach
 }
 
-/// `out[v] == true` iff at least one node of `sources` can reach `v` in
-/// `g` (every source trivially reaches itself). Multi-source BFS over
-/// out-edges — the forward twin of [`reverse_reachable`], used by the
-/// incremental index updater to decide which *skeleton columns* an
-/// update can affect (a column of hub `h` aggregates walks into `h`, so
-/// it is stale only when a touched node reaches `h`).
-pub fn forward_reachable(g: &CsrGraph, sources: &[NodeId]) -> Vec<bool> {
-    let n = g.node_count();
-    let mut reach = vec![false; n];
-    let mut queue: Vec<NodeId> = Vec::with_capacity(sources.len());
-    for &s in sources {
-        let s_us = s as usize;
-        assert!(s_us < n, "source {s} out of range for {n}-node graph");
-        if !reach[s_us] {
-            reach[s_us] = true;
-            queue.push(s);
-        }
-    }
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        for &w in g.out_neighbors(v) {
-            if !reach[w as usize] {
-                reach[w as usize] = true;
-                queue.push(w);
-            }
-        }
-    }
-    reach
-}
-
-/// SCC condensation of a graph snapshot, reusable across many
-/// reverse-reachability queries.
-pub struct SccCondensation {
-    scc: SccResult,
-    /// Adjacency between components: `comp_edges[c]` lists the distinct
-    /// successor components of `c` (edges of the condensation DAG).
-    comp_edges: Vec<Vec<u32>>,
-}
-
-impl SccCondensation {
-    /// Build the condensation (one Tarjan pass + one edge sweep).
-    pub fn build(g: &CsrGraph) -> Self {
-        let scc = strongly_connected_components(g);
-        let mut comp_edges: Vec<Vec<u32>> = vec![Vec::new(); scc.count];
-        for (u, v) in g.edges() {
-            let (cu, cv) = (scc.component_of[u as usize], scc.component_of[v as usize]);
-            if cu != cv {
-                comp_edges[cu as usize].push(cv);
-            }
-        }
-        for succs in &mut comp_edges {
-            succs.sort_unstable();
-            succs.dedup();
-        }
-        Self { scc, comp_edges }
-    }
-
-    /// The underlying component decomposition.
-    pub fn scc(&self) -> &SccResult {
-        &self.scc
-    }
-
-    /// `out[s] == true` iff `s` can reach at least one node of `targets`.
-    ///
-    /// Tarjan numbers a component before every component that can reach
-    /// it (reverse topological order), so successors always carry smaller
-    /// ids than their predecessors; one ascending sweep propagates
-    /// "reaches a dirty component" from sinks toward sources.
-    pub fn sources_reaching(&self, targets: &[NodeId]) -> Vec<bool> {
-        let mut comp_hit = vec![false; self.scc.count];
-        for &t in targets {
-            comp_hit[self.scc.component_of[t as usize] as usize] = true;
-        }
-        for c in 0..self.scc.count {
-            if comp_hit[c] {
-                continue;
-            }
-            if self.comp_edges[c].iter().any(|&s| comp_hit[s as usize]) {
-                comp_hit[c] = true;
-            }
-        }
-        self.scc
-            .component_of
-            .iter()
-            .map(|&c| comp_hit[c as usize])
-            .collect()
-    }
-
-    /// `out[v] == true` iff at least one node of `sources` can reach `v`
-    /// — the forward twin of [`sources_reaching`](Self::sources_reaching).
-    ///
-    /// Since successors carry smaller component ids than their
-    /// predecessors (see `sources_reaching`), one *descending* sweep
-    /// propagates "reached from a source component" from sources toward
-    /// sinks.
-    pub fn reachable_from(&self, sources: &[NodeId]) -> Vec<bool> {
-        let mut comp_hit = vec![false; self.scc.count];
-        for &s in sources {
-            comp_hit[self.scc.component_of[s as usize] as usize] = true;
-        }
-        for c in (0..self.scc.count).rev() {
-            if !comp_hit[c] {
-                continue;
-            }
-            for &s in &self.comp_edges[c] {
-                comp_hit[s as usize] = true;
-            }
-        }
-        self.scc
-            .component_of
-            .iter()
-            .map(|&c| comp_hit[c as usize])
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::from_edges;
-    use crate::generators::{hierarchical_sbm, HsbmConfig};
 
     #[test]
     fn chain_reachability() {
@@ -203,63 +75,35 @@ mod tests {
     }
 
     #[test]
-    fn condensation_matches_bfs_on_random_graphs() {
+    fn matches_a_forward_search_per_source_on_random_graphs() {
+        use crate::generators::{hierarchical_sbm, HsbmConfig};
         for seed in 0..8u64 {
             let g = hierarchical_sbm(
                 &HsbmConfig {
-                    nodes: 250,
+                    nodes: 120,
                     reciprocity: 0.3,
                     ..Default::default()
                 },
                 seed,
             );
-            let cond = SccCondensation::build(&g);
-            for targets in [
-                vec![0u32],
-                vec![17, 200],
-                vec![249, 1, 100, 30],
-                Vec::new(),
-            ] {
-                assert_eq!(
-                    cond.sources_reaching(&targets),
-                    reverse_reachable(&g, &targets),
-                    "seed {seed} targets {targets:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn forward_chain_reachability() {
-        let g = from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
-        let r = forward_reachable(&g, &[1]);
-        assert_eq!(r, vec![false, true, true, true, false]);
-        assert!(forward_reachable(&g, &[]).iter().all(|&x| !x));
-    }
-
-    #[test]
-    fn forward_matches_reverse_on_transpose_and_condensation() {
-        for seed in 0..8u64 {
-            let g = hierarchical_sbm(
-                &HsbmConfig {
-                    nodes: 250,
-                    reciprocity: 0.3,
-                    ..Default::default()
-                },
-                seed,
-            );
-            // Transpose oracle: v reachable from S in g  <=>  v reaches S
-            // in g's transpose.
-            let t = {
-                let mut b = crate::csr::GraphBuilder::new(g.node_count());
-                b.extend_edges(g.edges().map(|(u, v)| (v, u)));
-                b.build()
-            };
-            let cond = SccCondensation::build(&g);
-            for sources in [vec![0u32], vec![17, 200], vec![249, 1, 100, 30]] {
-                let fwd = forward_reachable(&g, &sources);
-                assert_eq!(fwd, reverse_reachable(&t, &sources), "seed {seed}");
-                assert_eq!(fwd, cond.reachable_from(&sources), "seed {seed}");
+            for targets in [vec![0u32], vec![17, 100], vec![119, 1, 60, 30], Vec::new()] {
+                let got = reverse_reachable(&g, &targets);
+                for s in 0..120u32 {
+                    // Independent oracle: plain forward DFS from `s`.
+                    let mut seen = [false; 120];
+                    let mut stack = vec![s];
+                    seen[s as usize] = true;
+                    while let Some(v) = stack.pop() {
+                        for &w in g.out_neighbors(v) {
+                            if !seen[w as usize] {
+                                seen[w as usize] = true;
+                                stack.push(w);
+                            }
+                        }
+                    }
+                    let want = targets.iter().any(|&t| seen[t as usize]);
+                    assert_eq!(got[s as usize], want, "seed {seed} targets {targets:?} source {s}");
+                }
             }
         }
     }
@@ -272,8 +116,6 @@ mod tests {
         let r = reverse_reachable(&g, &[4]);
         assert_eq!(&r[..3], &[false, false, false]);
         assert_eq!(&r[3..], &[true, true, true]);
-        let c = SccCondensation::build(&g);
-        assert_eq!(c.sources_reaching(&[4]), r);
     }
 
     #[test]

@@ -60,7 +60,8 @@
 //! batches with [`ppr_graph::GraphDelta`] batches — edge updates *and*
 //! node churn (adds/removes): updates run through `ppr-core`'s exact
 //! incremental maintenance (a persistent [`MaintenanceEngine`] that
-//! narrows recomputation to reachability-stale vectors), invalid batches
+//! recomputes only the vectors whose last run read a row the batch
+//! rewrote), invalid batches
 //! come back as [`UpdateError`] values instead of panics, and instead of
 //! flushing the PPV cache it evicts **only** the sources that can reach a
 //! touched node (reverse reachability over the new graph — the

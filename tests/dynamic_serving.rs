@@ -29,6 +29,7 @@ use exact_ppr::core::PprConfig;
 use exact_ppr::graph::dense::dense_ppv;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use exact_ppr::graph::reach::reverse_reachable;
+use exact_ppr::graph::scc::strongly_connected_components;
 use exact_ppr::graph::{delta, CsrGraph, EdgeUpdate, GraphBuilder, NodeId};
 use exact_ppr::partition::HierarchyConfig;
 use exact_ppr::prelude::{Cluster, DynamicPprServer, Request, ServeConfig};
@@ -71,14 +72,32 @@ fn scratch_rebuild(server: &DynamicPprServer, cfg: &PprConfig, machines: usize) 
     )
 }
 
-/// Drive one randomized update/query scenario; every served answer is
-/// checked bit for bit, and the final index against a scratch rebuild.
-/// Returns (queries checked, update batches applied) for calibration
+/// `g` plus the two-way ring `v ↔ v+1`: strongly connected by
+/// construction — the topology on which whole-graph reachability proves
+/// nothing about any vector.
+fn with_ring(g: &CsrGraph) -> CsrGraph {
+    let n = g.node_count() as NodeId;
+    let mut b = GraphBuilder::new(n as usize);
+    b.extend_edges(g.edges());
+    b.extend_edges((0..n).flat_map(|v| [(v, (v + 1) % n), ((v + 1) % n, v)]));
+    b.build()
+}
+
+/// Drive one randomized update/query scenario from `g0`; every served
+/// answer is checked bit for bit, and the final index against a scratch
+/// rebuild. Returns (queries checked, update batches applied, update
+/// batches that left the graph strongly connected — where the old
+/// reachability predicates could never skip a vector — and how many of
+/// those the read-set predicate skipped something in) for calibration
 /// assertions at the call sites.
-fn differential_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, usize), String> {
+fn differential_scenario(
+    g0: CsrGraph,
+    seed: u64,
+    events: usize,
+) -> Result<(usize, usize, usize, usize), String> {
     let machines = 3;
     let cfg = PprConfig::default();
-    let g0 = sample(n, seed);
+    let n = g0.node_count();
     let mut server = DynamicPprServer::build(
         g0.clone(),
         &cfg,
@@ -101,6 +120,7 @@ fn differential_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, u
     let mut g_shadow = g0; // maintained independently of the server
     let mut queries = 0usize;
     let mut update_batches = 0usize;
+    let (mut connected, mut connected_that_skipped) = (0usize, 0usize);
     let cluster = Cluster::with_default_network();
 
     for event in stream.take(events) {
@@ -139,6 +159,10 @@ fn differential_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, u
                         batch.len()
                     ));
                 }
+                if strongly_connected_components(server.graph()).count == 1 {
+                    connected += 1;
+                    connected_that_skipped += usize::from(out.stats.vectors_skipped > 0);
+                }
             }
             MixedEvent::Churn(_) => unreachable!("churn disabled in this config"),
         }
@@ -159,7 +183,7 @@ fn differential_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, u
             ));
         }
     }
-    Ok((queries, update_batches))
+    Ok((queries, update_batches, connected, connected_that_skipped))
 }
 
 proptest! {
@@ -169,7 +193,8 @@ proptest! {
 
     #[test]
     fn served_answers_survive_random_update_streams(seed in 0u64..10_000) {
-        let (queries, updates) = differential_scenario(72, seed, 24).map_err(|e| e.to_string())?;
+        let (queries, updates, ..) =
+            differential_scenario(sample(72, seed), seed, 24).map_err(|e| e.to_string())?;
         prop_assert!(queries + updates == 24);
     }
 }
@@ -178,9 +203,23 @@ proptest! {
 fn differential_scenario_exercises_both_sides() {
     // One deterministic, bigger run — and proof the scenario actually
     // mixes reads and writes rather than vacuously passing.
-    let (queries, updates) = differential_scenario(120, 42, 60).unwrap();
+    let (queries, updates, ..) = differential_scenario(sample(120, 42), 42, 60).unwrap();
     assert!(queries >= 30, "only {queries} queries");
     assert!(updates >= 5, "only {updates} update batches");
+}
+
+#[test]
+fn read_sets_skip_vectors_on_a_strongly_connected_graph() {
+    // The same scenario (bit-identity to a scratch rebuild included) on a
+    // graph that stays one strongly connected component. There every
+    // node reaches and is reached by every touched node, so the
+    // reachability predicates this suite used to run under recomputed
+    // every vector of every dirty subgraph; the read-set predicate must
+    // still skip some, in every batch.
+    let (_, updates, connected, skipped) =
+        differential_scenario(with_ring(&sample(120, 42)), 42, 60).unwrap();
+    assert!(connected >= 5 && connected == updates, "{connected} of {updates}");
+    assert_eq!(skipped, connected);
 }
 
 #[test]

@@ -19,7 +19,8 @@
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use exact_ppr::core::PprConfig;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
-use exact_ppr::graph::{apply_delta, delta, CsrGraph, EdgeUpdate, NodeId};
+use exact_ppr::graph::scc::strongly_connected_components;
+use exact_ppr::graph::{apply_delta, delta, CsrGraph, EdgeUpdate, GraphBuilder, NodeId};
 use exact_ppr::partition::HierarchyConfig;
 use exact_ppr::prelude::{Cluster, DynamicPprServer, MaintenanceEngine, ServeConfig};
 use exact_ppr::workload::{MixedEvent, MixedStream, MixedStreamConfig};
@@ -35,6 +36,52 @@ fn sample(n: usize, seed: u64) -> CsrGraph {
         },
         seed,
     )
+}
+
+/// `g` plus two-way rings of stride 1 and 7: strongly connected by
+/// construction (and still so after a few node removals) — the topology
+/// on which whole-graph reachability proves nothing about any vector.
+fn with_rings(g: &CsrGraph) -> CsrGraph {
+    let n = g.node_count() as NodeId;
+    let mut b = GraphBuilder::new(n as usize);
+    b.extend_edges(g.edges());
+    for stride in [1, 7] {
+        b.extend_edges((0..n).flat_map(|v| [(v, (v + stride) % n), ((v + stride) % n, v)]));
+    }
+    b.build()
+}
+
+/// Are the live nodes of `g` one strongly connected component?
+/// (Tombstones are isolated, so each is a component of its own.)
+fn strongly_connected(g: &CsrGraph, live: impl Fn(NodeId) -> bool) -> bool {
+    let scc = strongly_connected_components(g);
+    let mut of_live = (0..g.node_count() as NodeId)
+        .filter(|&v| live(v))
+        .map(|v| scc.component_of[v as usize]);
+    of_live.next().is_none_or(|c| of_live.all(|d| d == c))
+}
+
+/// What one churn scenario drove: event counts, and how the update
+/// batches that landed on a strongly connected graph fared — there the
+/// old reachability predicates could never skip a vector.
+#[derive(Debug, Default)]
+struct Driven {
+    queries: usize,
+    edge_batches: usize,
+    churn_batches: usize,
+    /// Update batches after which the live graph was strongly connected.
+    connected_batches: usize,
+    /// ... of which the read-set predicate skipped at least one vector.
+    connected_batches_that_skipped: usize,
+}
+
+impl Driven {
+    fn record(&mut self, server: &DynamicPprServer, skipped: usize) {
+        if strongly_connected(server.graph(), |v| server.index().is_live(v)) {
+            self.connected_batches += 1;
+            self.connected_batches_that_skipped += usize::from(skipped > 0);
+        }
+    }
 }
 
 fn opts(machines: usize, max_leaf_size: usize) -> HgpaBuildOptions {
@@ -88,13 +135,12 @@ fn separation_holds(idx: &HgpaIndex, g: &CsrGraph) -> Result<(), String> {
     Ok(())
 }
 
-/// Drive one randomized churn scenario; every served answer is checked
-/// bit for bit, and the final index against a scratch recomputation.
-/// Returns (queries, edge batches, churn batches) for calibration.
-fn churn_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, usize, usize), String> {
+/// Drive one randomized churn scenario from `g0`; every served answer is
+/// checked bit for bit, and the final index against a scratch
+/// recomputation. Returns what was driven, for calibration.
+fn churn_scenario(g0: CsrGraph, seed: u64, events: usize) -> Result<Driven, String> {
     let machines = 3;
     let cfg = PprConfig::default();
-    let g0 = sample(n, seed);
     let mut server = DynamicPprServer::build(
         g0.clone(),
         &cfg,
@@ -117,12 +163,12 @@ fn churn_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, usize, u
     );
     let mut g_shadow = g0; // maintained independently of the server
     let cluster = Cluster::with_default_network();
-    let (mut queries, mut edge_batches, mut churn_batches) = (0usize, 0usize, 0usize);
+    let mut driven = Driven::default();
 
     for event in stream.take(events) {
         match event {
             MixedEvent::Query(u) => {
-                queries += 1;
+                driven.queries += 1;
                 let served = server.query(u);
                 let direct = cluster.query(server.index(), u).result;
                 if served != direct {
@@ -132,14 +178,15 @@ fn churn_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, usize, u
                 }
             }
             MixedEvent::Update(batch) => {
-                edge_batches += 1;
+                driven.edge_batches += 1;
                 g_shadow = delta::apply_edge_updates(&g_shadow, &batch);
-                server
+                let out = server
                     .apply_updates(&batch)
                     .map_err(|e| format!("seed {seed}: valid edge batch rejected: {e}"))?;
+                driven.record(&server, out.stats.vectors_skipped);
             }
             MixedEvent::Churn(d) => {
-                churn_batches += 1;
+                driven.churn_batches += 1;
                 let shadow_applied = apply_delta(&g_shadow, &d)
                     .map_err(|e| format!("seed {seed}: stream emitted invalid churn: {e}"))?;
                 g_shadow = shadow_applied.graph;
@@ -166,6 +213,7 @@ fn churn_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, usize, u
                         return Err(format!("seed {seed}: added node {v} is not live"));
                     }
                 }
+                driven.record(&server, out.stats.vectors_skipped);
             }
         }
     }
@@ -196,7 +244,7 @@ fn churn_scenario(n: usize, seed: u64, events: usize) -> Result<(usize, usize, u
         }
     }
     separation_holds(server.index(), server.graph()).map_err(|e| format!("seed {seed}: {e}"))?;
-    Ok((queries, edge_batches, churn_batches))
+    Ok(driven)
 }
 
 proptest! {
@@ -206,8 +254,8 @@ proptest! {
 
     #[test]
     fn served_answers_survive_node_churn_streams(seed in 0u64..10_000) {
-        let (q, e, c) = churn_scenario(64, seed, 18)?;
-        prop_assert!(q + e + c == 18);
+        let d = churn_scenario(sample(64, seed), seed, 18)?;
+        prop_assert!(d.queries + d.edge_batches + d.churn_batches == 18);
     }
 
     #[test]
@@ -274,8 +322,21 @@ fn churn_scenario_exercises_all_event_kinds() {
     // One deterministic, bigger run — and proof the scenario actually
     // mixes reads, edge writes, and node churn rather than vacuously
     // passing.
-    let (queries, edge_batches, churn_batches) = churn_scenario(120, 1234, 60).unwrap();
-    assert!(queries >= 20, "only {queries} queries");
-    assert!(edge_batches >= 4, "only {edge_batches} edge batches");
-    assert!(churn_batches >= 8, "only {churn_batches} churn batches");
+    let d = churn_scenario(sample(120, 1234), 1234, 60).unwrap();
+    assert!(d.queries >= 20, "only {} queries", d.queries);
+    assert!(d.edge_batches >= 4, "only {} edge batches", d.edge_batches);
+    assert!(d.churn_batches >= 8, "only {} churn batches", d.churn_batches);
+}
+
+#[test]
+fn read_sets_skip_vectors_where_reachability_cannot() {
+    // The same stream (bit-identity to a scratch rebuild included) from a
+    // strongly connected start. While the live graph stays one component
+    // every node reaches and is reached by every touched node, so the
+    // reachability predicates this suite used to run under recomputed
+    // every vector of every dirty subgraph; the read-set predicate must
+    // still skip some, in every such batch.
+    let d = churn_scenario(with_rings(&sample(120, 1234)), 1234, 60).unwrap();
+    assert!(d.connected_batches >= 6, "only {} batches", d.connected_batches);
+    assert_eq!(d.connected_batches_that_skipped, d.connected_batches, "{d:?}");
 }
