@@ -36,7 +36,9 @@ use ppr_core::parallel::Stopwatch;
 use ppr_core::persist;
 use ppr_core::SparseVector;
 use ppr_graph::{CsrGraph, GraphDelta, NodeId};
-use ppr_wire::{FramedStream, Message, WireMetrics, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use ppr_wire::{
+    encode_frame, FramedStream, Message, WireMetrics, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
+};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -290,15 +292,19 @@ impl SocketCluster {
     }
 
     /// Publish one epoch barrier: persist the post-delta snapshot
-    /// (atomically, **before** any worker hears about the delta), then
-    /// broadcast the delta and collect acks. Workers that fail to ack
-    /// are killed and will cold-start from the new snapshot at the next
-    /// round — consistent either way. Returns the number of acks.
+    /// (atomically, **before** any worker hears about the delta), send
+    /// the delta to every live worker, then collect the acks in machine
+    /// order. The workers apply it concurrently, so the publish waits for
+    /// the slowest maintenance pass, not for their sum. A worker that
+    /// fails either step is killed and will cold-start from the new
+    /// snapshot at the next round — consistent either way. Returns the
+    /// number of acks.
     ///
     /// # Errors
-    /// Only the snapshot write can fail; on `Err` nothing was broadcast
-    /// and the workers still serve the previous epoch, so the caller
-    /// must stop routing queries here (detach) or retry the publish.
+    /// Only encoding the delta's frame and writing the snapshot can fail,
+    /// both before anything is sent: on `Err` the workers still serve the
+    /// previous epoch, so the caller must stop routing queries here
+    /// (detach) or retry the publish.
     pub fn publish_epoch(
         &self,
         index: &HgpaIndex,
@@ -306,25 +312,35 @@ impl SocketCluster {
         delta: &GraphDelta,
         epoch: u64,
     ) -> io::Result<usize> {
+        let frame = encode_frame(&Message::Update {
+            epoch,
+            delta: delta.clone(),
+        })?;
         let mut st = self.state();
         save_snapshot(&st.config.index_path, index)?;
         st.graph = graph.clone();
         st.node_bound = graph.node_count() as u64;
         st.epoch = epoch;
-        let mut acks = 0usize;
-        for m in 0..st.config.machines {
+        let machines = st.config.machines;
+        let mut sent = Vec::with_capacity(machines);
+        for m in 0..machines {
             if st.workers[m].is_none() {
                 continue; // will cold-start from the new snapshot
             }
-            let update = Message::Update {
-                epoch,
-                delta: delta.clone(),
-            };
-            let node_bound = st.node_bound;
+            let result = st.with_worker(m, |w, deadlines| {
+                w.stream.set_deadline(deadlines.update_deadline);
+                w.stream.send_frame(&frame)
+            });
+            match result {
+                Ok(_) => sent.push(m),
+                Err(_) => st.kill(m),
+            }
+        }
+        let node_bound = st.node_bound;
+        let mut acks = 0usize;
+        for m in sent {
             let acked = st
                 .with_worker(m, |w, deadlines| {
-                    w.stream.set_deadline(deadlines.update_deadline);
-                    w.stream.send(&update)?;
                     let (msg, _) = w.stream.recv(node_bound)?;
                     w.stream.set_deadline(deadlines.io_deadline);
                     match msg {

@@ -108,12 +108,43 @@
 //! rebuild; exactness is preserved (validated against the dense oracle
 //! and against fresh rebuilds in the tests, and fuzzed under mixed
 //! node+edge churn in `tests/node_churn.rs`).
+//!
+//! ## Plan, execute, commit
+//!
+//! Like the offline build (§5), every stored vector is an independent
+//! job over a read-only subgraph view, so a batch's recomputation runs in
+//! three phases:
+//!
+//! 1. **Plan** (sequential, ascending dirty-subgraph order): run the
+//!    read-set predicate, build a view only for a subgraph that holds a
+//!    stale vector, and emit one work item per stale *owner* — a leaf
+//!    member, or an internal subgraph's hub — carrying its base vector
+//!    and/or its skeleton column.
+//! 2. **Execute**: deal the items to [`run_timed`], the pool the offline
+//!    build uses, under the engine's [`ParallelismMode`]; each worker owns
+//!    one [`PushEngine`]/[`SkeletonEngine`] pair for the batch. Items are
+//!    per owner rather than per vector because the pool deals
+//!    round-robin: per-vector items would hand every push to one worker
+//!    and every skeleton run to the other.
+//! 3. **Commit**: store the outputs in item order and count
+//!    [`UpdateStats::vectors_recomputed`] / [`UpdateStats::vectors_unchanged`].
+//!
+//! Each run is a pure function of (view, source, blocked set, config).
+//! Every node owns vectors in its home subgraph only, so the predicate
+//! for one subgraph never reads a vector that another subgraph's commit
+//! writes, and planning the whole batch before committing any of it
+//! decides exactly what the interleaved order would. Stored vectors and
+//! [`UpdateStats`] are therefore bit-identical in every mode (pinned by
+//! `tests/parallel_build.rs`). The mode comes from the caller:
+//! [`MaintenanceEngine::new`] is sequential, and the dynamic server passes
+//! its `ServeConfig::parallelism` to [`MaintenanceEngine::with_parallelism`].
 
 use crate::hgpa::{map_to_global, HgpaIndex};
+use crate::parallel::{run_timed, ParallelismMode};
 use crate::push::PushEngine;
 use crate::skeleton::SkeletonEngine;
 use crate::{PprConfig, SparseVector};
-use ppr_graph::{AppliedGraphDelta, CsrGraph, DeltaError, NodeId, ViewBuilder};
+use ppr_graph::{AppliedGraphDelta, CsrGraph, DeltaError, NodeId, SubView, ViewBuilder};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
@@ -235,17 +266,16 @@ pub struct UpdateStats {
 /// or below `ε·(1 − INFLOW_MARGIN)`.
 const INFLOW_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
 
-/// Reusable state for applying update batches to an [`HgpaIndex`]:
-/// one [`PushEngine`]/[`SkeletonEngine`] pair that grows to the largest
-/// subgraph it meets and is reused across every dirty subgraph of every
-/// batch (the same amortization the parallel builder uses per worker).
+/// Applies update batches to an [`HgpaIndex`]: plans each batch's
+/// recomputation, executes it under the engine's [`ParallelismMode`],
+/// and commits it in plan order (module docs).
 ///
 /// The engine holds no reference to a particular index or graph and
-/// carries nothing from one batch to the next but arena capacity, so one
-/// engine may serve many indexes.
+/// carries nothing from one batch to the next — kernel arenas belong to
+/// the pool's workers and live for one batch — so one engine may serve
+/// many indexes.
 pub struct MaintenanceEngine {
-    push: PushEngine,
-    skel: SkeletonEngine,
+    parallelism: ParallelismMode,
 }
 
 impl Default for MaintenanceEngine {
@@ -255,12 +285,16 @@ impl Default for MaintenanceEngine {
 }
 
 impl MaintenanceEngine {
-    /// A fresh engine with empty arenas (they grow on first use).
+    /// A sequential engine: every recomputation runs in the caller's
+    /// thread, the measurement-grade default of [`ParallelismMode`].
     pub fn new() -> Self {
-        Self {
-            push: PushEngine::new(0),
-            skel: SkeletonEngine::new(0),
-        }
+        Self::with_parallelism(ParallelismMode::Sequential)
+    }
+
+    /// An engine that recomputes a batch's stale vectors on `mode`'s
+    /// workers. Results are bit-identical to [`MaintenanceEngine::new`]'s.
+    pub fn with_parallelism(mode: ParallelismMode) -> Self {
+        Self { parallelism: mode }
     }
 
     /// Bring `idx` up to date with an applied [`ppr_graph::GraphDelta`]
@@ -316,6 +350,23 @@ impl MaintenanceEngine {
         dropped: &[(NodeId, NodeId)],
         changed: &[(NodeId, NodeId)],
     ) -> Result<UpdateStats, UpdateError> {
+        let (plan, mut stats) = Self::plan_batch(idx, g_new, added, removed, dropped, changed)?;
+        let fresh = plan.execute(idx.config(), self.parallelism);
+        plan.commit(idx, fresh, &mut stats);
+        Ok(stats)
+    }
+
+    /// Validate a batch, apply its structural changes to `idx` (excision,
+    /// admission, promotion) and plan the recomputation it needs. The
+    /// returned stats lack only what [`Plan::commit`] counts.
+    fn plan_batch(
+        idx: &mut HgpaIndex,
+        g_new: &CsrGraph,
+        added: &[NodeId],
+        removed: &[NodeId],
+        dropped: &[(NodeId, NodeId)],
+        changed: &[(NodeId, NodeId)],
+    ) -> Result<(Plan, UpdateStats), UpdateError> {
         let mut stats = UpdateStats::default();
         let old_n = idx.node_count();
 
@@ -327,7 +378,7 @@ impl MaintenanceEngine {
             });
         }
         if added.is_empty() && removed.is_empty() && dropped.is_empty() && changed.is_empty() {
-            return Ok(stats);
+            return Ok((Plan::default(), stats));
         }
         for (i, &v) in added.iter().enumerate() {
             // Additions extend the dense id space in order.
@@ -417,9 +468,8 @@ impl MaintenanceEngine {
         }
         touched.extend(stats.promoted_hubs.iter().copied());
 
-        // ---- recompute what the read-set predicate cannot rule out, in
-        // deterministic ascending subgraph order, sharing one engine pair
-        // and one view builder across the whole dirty set.
+        // ---- plan what the read-set predicate cannot rule out, in
+        // deterministic ascending subgraph order, over one view builder.
         let mut rewritten: Vec<NodeId> = changed
             .iter()
             .chain(dropped)
@@ -428,21 +478,20 @@ impl MaintenanceEngine {
             .collect();
         rewritten.sort_unstable();
         rewritten.dedup();
-        let mut pass = Recompute {
-            push: &mut self.push,
-            skel: &mut self.skel,
+        let mut planner = Planner {
             vb: ViewBuilder::new(g_new),
             cfg: *idx.config(),
             rewritten,
             all_stale: idx.stats().dropped_entries > 0,
         };
-        for sg in dirty {
-            pass.subgraph(idx, sg, &mut stats);
-            stats.subgraphs_recomputed += 1;
-            stats.dirty_subgraphs.push(sg);
+        let mut plan = Plan::default();
+        for &sg in &dirty {
+            planner.subgraph(idx, sg, &mut plan, &mut stats);
         }
+        stats.subgraphs_recomputed = dirty.len();
+        stats.dirty_subgraphs = dirty.into_iter().collect();
         stats.dirty_nodes = touched.into_iter().collect();
-        Ok(stats)
+        Ok((plan, stats))
     }
 }
 
@@ -450,9 +499,9 @@ impl HgpaIndex {
     /// Bring the index up to date with `g_new`, given the list of edges
     /// that were inserted or removed since the graph the index was built
     /// on. The node set must be unchanged; use
-    /// [`MaintenanceEngine::apply`] for batches with node churn (and to
-    /// amortize engine arenas across batches — this convenience method
-    /// spins up a transient engine per call).
+    /// [`MaintenanceEngine::apply`] for batches with node churn, and
+    /// [`MaintenanceEngine::with_parallelism`] to recompute on worker
+    /// threads — this convenience method runs a sequential engine.
     ///
     /// On `Err` the index is unchanged.
     pub fn apply_edge_updates(
@@ -531,11 +580,79 @@ impl HgpaIndex {
     }
 }
 
-/// One batch's recomputation pass: the engine pair and view builder it
-/// shares across the dirty subgraphs, and the read-set predicate's inputs.
-struct Recompute<'e, 'g> {
-    push: &'e mut PushEngine,
-    skel: &'e mut SkeletonEngine,
+/// A batch's recomputation work (module docs): the views of the dirty
+/// subgraphs that hold a stale vector, and one item per stale owner.
+#[derive(Default)]
+struct Plan {
+    views: Vec<PlannedView>,
+    items: Vec<Item>,
+}
+
+/// One subgraph's view with its hubs blocked, shared by its items.
+struct PlannedView {
+    view: SubView,
+    blocked: Vec<bool>,
+}
+
+/// One stale owner: which of its vectors to recompute, and where.
+struct Item {
+    /// Index into [`Plan::views`].
+    view: usize,
+    owner: NodeId,
+    /// `owner`'s id in that view.
+    local: NodeId,
+    base: bool,
+    column: bool,
+}
+
+/// An item's output: its fresh base vector and/or skeleton column.
+type Fresh = (Option<SparseVector>, Option<SparseVector>);
+
+impl Plan {
+    /// Run every item on the pool, returning the outputs in item order.
+    fn execute(&self, cfg: &PprConfig, mode: ParallelismMode) -> Vec<Fresh> {
+        let (outputs, _) = run_timed(
+            self.items.len(),
+            mode,
+            || (PushEngine::new(0), SkeletonEngine::new(0)),
+            |_| 0,
+            |i, (push, skel)| {
+                let item = &self.items[i];
+                let PlannedView { view, blocked } = &self.views[item.view];
+                let base = item.base.then(|| {
+                    map_to_global(&push.run(view, item.local, blocked, cfg).partial, view)
+                });
+                let column = item
+                    .column
+                    .then(|| map_to_global(&skel.run(view, item.local, cfg), view));
+                (base, column)
+            },
+        );
+        outputs.into_iter().map(|(fresh, _)| fresh).collect()
+    }
+
+    /// Store `fresh` (from [`Plan::execute`]) in item order.
+    fn commit(self, idx: &mut HgpaIndex, fresh: Vec<Fresh>, stats: &mut UpdateStats) {
+        let (_, mut stored) = idx.stored_vectors_mut();
+        let mut store = |slot: &mut SparseVector, fresh: SparseVector| {
+            stats.vectors_recomputed += 1;
+            stats.vectors_unchanged += usize::from(*slot == fresh);
+            *slot = fresh;
+        };
+        for (item, (base, column)) in self.items.iter().zip(fresh) {
+            if let Some(v) = base {
+                store(stored.base(item.owner), v);
+            }
+            if let Some(v) = column {
+                store(stored.column(item.owner), v);
+            }
+        }
+    }
+}
+
+/// The plan phase's state: one view builder for the whole dirty set, and
+/// the read-set predicate's inputs.
+struct Planner<'g> {
     vb: ViewBuilder<'g>,
     cfg: PprConfig,
     /// The nodes whose own row the batch rewrote (module docs), sorted.
@@ -545,7 +662,7 @@ struct Recompute<'e, 'g> {
     all_stale: bool,
 }
 
-impl Recompute<'_, '_> {
+impl Planner<'_> {
     /// Did the base/partial vector's last run expand a rewritten node?
     fn base_stale(&self, base: &SparseVector) -> bool {
         self.all_stale || base.is_empty() || self.rewritten.iter().any(|&a| base.get(a) != 0.0)
@@ -574,11 +691,17 @@ impl Recompute<'_, '_> {
         (1.0 - self.cfg.alpha) * settled / deg as f64 > self.cfg.epsilon * (1.0 - INFLOW_MARGIN)
     }
 
-    /// Recompute the stored vectors of subgraph `sg` that the predicate
-    /// cannot prove unchanged: every member's local PPV in a leaf, every
-    /// hub's partial vector and skeleton column in an internal subgraph.
-    /// When every vector is provably clean the view is not even built.
-    fn subgraph(&mut self, idx: &mut HgpaIndex, sg: usize, stats: &mut UpdateStats) {
+    /// Plan the stored vectors of subgraph `sg` that the predicate cannot
+    /// prove unchanged: every member's local PPV in a leaf, every hub's
+    /// partial vector and skeleton column in an internal subgraph. When
+    /// every vector is provably clean the view is not even built.
+    fn subgraph(
+        &mut self,
+        idx: &mut HgpaIndex,
+        sg: usize,
+        plan: &mut Plan,
+        stats: &mut UpdateStats,
+    ) {
         let (hierarchy, mut stored) = idx.stored_vectors_mut();
         let node = &hierarchy.nodes[sg];
         let owners = if node.is_leaf() { &node.members } else { &node.hubs };
@@ -603,23 +726,19 @@ impl Recompute<'_, '_> {
         for &h in &node.hubs {
             blocked[view.local_of(h).expect("hub is a member") as usize] = true;
         }
-        let mut store = |slot: &mut SparseVector, local: &SparseVector| {
-            let fresh = map_to_global(local, &view);
-            stats.vectors_recomputed += 1;
-            stats.vectors_unchanged += usize::from(*slot == fresh);
-            *slot = fresh;
-        };
-        for (i, &o) in owners.iter().enumerate() {
-            let lo = view.local_of(o).expect("owner is a member");
-            if stale_base[i] {
-                let out = self.push.run(&view, lo, &blocked, &self.cfg);
-                store(stored.base(o), &out.partial);
-            }
-            if stale_col.get(i) == Some(&true) {
-                let col = self.skel.run(&view, lo, &self.cfg);
-                store(stored.column(o), &col);
+        for (i, &owner) in owners.iter().enumerate() {
+            let (base, column) = (stale_base[i], stale_col.get(i) == Some(&true));
+            if base || column {
+                plan.items.push(Item {
+                    view: plan.views.len(),
+                    owner,
+                    local: view.local_of(owner).expect("owner is a member"),
+                    base,
+                    column,
+                });
             }
         }
+        plan.views.push(PlannedView { view, blocked });
     }
 }
 
@@ -936,11 +1055,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_reuse_is_bit_identical_to_transient_engines() {
+    fn threaded_engine_is_bit_identical_to_sequential_engine() {
         let g0 = base_graph(220, 47);
         let mut live = HgpaIndex::build(&g0, &tight(), &opts());
         let mut fresh = live.clone();
-        let mut engine = MaintenanceEngine::new();
+        let mut engine = MaintenanceEngine::with_parallelism(ParallelismMode::Threads(3));
         let mut g = g0;
         let batches: [&[(NodeId, NodeId)]; 3] =
             [&[(3, 140), (60, 201)], &[(10, 11)], &[(140, 2), (2, 140)]];
@@ -951,8 +1070,8 @@ mod tests {
                 .filter(|&(u, v)| !g.has_edge(u, v) && u != v)
                 .collect();
             let g2 = with_edges(&g, &add, &[]);
-            // Persistent engine (arenas grown by earlier batches) vs a
-            // throwaway engine per batch: identical stats & vectors.
+            // Items dealt to three workers vs run in order in this
+            // thread: identical stats & vectors.
             let a = engine.apply_edges(&mut live, &g2, &add).expect("valid");
             let b = fresh.apply_edge_updates(&g2, &add).expect("valid");
             assert_eq!(a, b, "stats diverged between engine modes");
@@ -988,6 +1107,36 @@ mod tests {
         );
         assert_exact(&idx, &g2, &[0, 2, 3, 60, 119]);
         assert_bit_identical_to_rebuild(&idx, &g2);
+    }
+
+    #[test]
+    fn a_batch_with_every_vector_skipped_builds_no_view_and_runs_no_item() {
+        // Removing an isolated node rewrites only its own row, which no
+        // run ever reads: its chain is dirty, yet nothing on it is stale.
+        let n = 200;
+        let mut b = GraphBuilder::new(n + 1);
+        b.extend_edges(base_graph(n, 5).edges());
+        let g = b.build();
+        let mut idx = HgpaIndex::build(&g, &tight(), &opts());
+        let v = n as NodeId;
+        let applied = apply_delta(
+            &g,
+            &GraphDelta {
+                nodes: vec![NodeUpdate::Remove(v)],
+                edges: vec![],
+            },
+        )
+        .expect("valid delta");
+        assert!(applied.dropped_edges.is_empty());
+        let (plan, stats) =
+            MaintenanceEngine::plan_batch(&mut idx, &applied.graph, &[], &[v], &[], &[])
+                .expect("valid batch");
+        assert!(!stats.dirty_subgraphs.is_empty() && stats.vectors_skipped > 0);
+        assert!(plan.views.is_empty(), "no view built");
+        assert!(plan.items.is_empty(), "no item planned");
+        let fresh = plan.execute(idx.config(), ParallelismMode::Threads(2));
+        assert!(fresh.is_empty(), "no item run");
+        assert_bit_identical_to_rebuild(&idx, &applied.graph);
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod dense;
 pub mod generators;
 pub mod io;
 pub mod reach;
-pub mod scc;
 pub mod view;
 
 pub use adjacency::{Adjacency, InAdjacency};

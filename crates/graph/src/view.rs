@@ -106,9 +106,7 @@ impl InAdjacency for SubView {
         &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
     }
 }
-///
-/// Holds a graph-sized scratch map so building `k` views over disjoint
-/// member sets costs O(Σ members + Σ internal edges), not O(k · |V|).
+
 /// Reusable builder for many [`SubView`]s over one graph.
 ///
 /// Holds a graph-sized scratch map so building `k` views over disjoint

@@ -7,9 +7,10 @@
 //! [`GraphDelta`] batches (edge updates plus node churn):
 //!
 //! * updates flow through `ppr-core`'s exact incremental maintenance — a
-//!   persistent [`MaintenanceEngine`] whose push/skeleton buffers survive
-//!   across batches — with per-vector staleness decided from the rows
-//!   each vector's last run read, never a rebuild. Batches may churn the node
+//!   [`MaintenanceEngine`] that plans the vectors a batch made stale (from
+//!   the rows each one's last run read), recomputes them on
+//!   `ServeConfig::parallelism`'s workers, and commits them in plan order
+//!   — never a rebuild. Batches may churn the node
 //!   set: an added node joins a leaf and serves immediately, a removed
 //!   node is excised (tombstoned) and thereafter answers empty;
 //! * invalid batches are **rejected, not panicked on**: a structurally
@@ -283,9 +284,9 @@ impl DynamicPprServer {
         );
         Self {
             graph,
+            engine: MaintenanceEngine::with_parallelism(config.parallelism),
             core: ServerCore::new(index.machines(), config),
             index,
-            engine: MaintenanceEngine::new(),
             dynamic_stats: DynamicStats::default(),
             resilience_stats: ResilienceStats::default(),
             backlog: BTreeSet::new(),
@@ -309,8 +310,9 @@ impl DynamicPprServer {
     /// Apply one [`GraphDelta`] — node churn plus edge updates — as one
     /// **epoch barrier**: apply the batch at the graph level (churn
     /// first, then the coalesced net edge change), bring the index up to
-    /// date incrementally (once, through the persistent maintenance
-    /// engine), evict — per shard, in parallel — exactly the cached
+    /// date incrementally (once, with the stale vectors recomputed on
+    /// `ServeConfig::parallelism`'s workers), evict — per shard, in
+    /// parallel — exactly the cached
     /// sources whose PPVs the batch can affect (those reaching a touched
     /// node), and release the next epoch.
     ///

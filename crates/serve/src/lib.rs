@@ -59,9 +59,9 @@
 //! owns a mutable HGPA index plus the current graph and interleaves query
 //! batches with [`ppr_graph::GraphDelta`] batches — edge updates *and*
 //! node churn (adds/removes): updates run through `ppr-core`'s exact
-//! incremental maintenance (a persistent [`MaintenanceEngine`] that
-//! recomputes only the vectors whose last run read a row the batch
-//! rewrote), invalid batches
+//! incremental maintenance (a [`MaintenanceEngine`] that recomputes, on
+//! the server's worker threads, only the vectors whose last run read a
+//! row the batch rewrote), invalid batches
 //! come back as [`UpdateError`] values instead of panics, and instead of
 //! flushing the PPV cache it evicts **only** the sources that can reach a
 //! touched node (reverse reachability over the new graph — the

@@ -66,7 +66,9 @@ pub fn plan_delta(graph: &CsrGraph, d: &GraphDelta) -> Result<DeltaPlan, DeltaEr
 
 /// A worker process's live copy of the served index: the graph, the
 /// HGPA index (cold-started from the persisted snapshot), and the
-/// persistent maintenance engine that keeps it exact across epochs.
+/// maintenance engine that keeps it exact across epochs. The engine is
+/// sequential: the cluster's worker processes already share the host's
+/// cores, and each applies every epoch delta at the same time.
 pub struct IndexReplica {
     graph: CsrGraph,
     index: HgpaIndex,

@@ -88,9 +88,18 @@ impl FramedStream {
     /// Encoding failures surface as `InvalidData`; a peer that stops
     /// draining surfaces as the OS timeout error within one deadline.
     pub fn send(&mut self, msg: &Message) -> io::Result<u64> {
-        let frame = encode_frame(msg)?;
+        self.send_frame(&encode_frame(msg)?)
+    }
+
+    /// Write one frame already produced by [`encode_frame`] under the
+    /// write deadline, returning its on-wire size — so a broadcast
+    /// encodes once for every peer.
+    ///
+    /// # Errors
+    /// The OS timeout error when the peer stops draining.
+    pub fn send_frame(&mut self, frame: &[u8]) -> io::Result<u64> {
         self.stream.set_write_timeout(Some(self.deadline))?;
-        self.stream.write_all(&frame)?;
+        self.stream.write_all(frame)?;
         self.metrics.bytes_sent += frame.len() as u64;
         self.metrics.frames_sent += 1;
         Ok(frame.len() as u64)

@@ -1,13 +1,13 @@
 //! Strongly connected components (iterative Tarjan).
 //!
-//! PPR analysis cares about SCC structure: mass circulates inside a
-//! strongly connected component and only leaks forward along the
-//! condensation DAG, which explains PPV supports and helps size
-//! partitions. The implementation is the classic Tarjan algorithm with an
-//! explicit stack (graphs here are far deeper than the call stack allows).
+//! The read-set suites use it to recognise the batches that leave a live
+//! graph strongly connected: there every node reaches every touched node,
+//! so reachability proves nothing about any vector and only the read-set
+//! predicate can skip one. The implementation is the classic Tarjan
+//! algorithm with an explicit stack (graphs here are far deeper than the
+//! call stack allows).
 
-use crate::csr::CsrGraph;
-use crate::NodeId;
+use exact_ppr::graph::{CsrGraph, NodeId};
 
 /// Result of an SCC decomposition.
 #[derive(Clone, Debug)]
@@ -110,8 +110,8 @@ pub fn strongly_connected_components(g: &CsrGraph) -> SccResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::from_edges;
-    use crate::generators::{hierarchical_sbm, HsbmConfig};
+    use exact_ppr::graph::csr::from_edges;
+    use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 
     #[test]
     fn cycle_is_one_component() {

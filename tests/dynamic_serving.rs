@@ -24,12 +24,14 @@
 //! open-loop queueing report must be deterministic and internally
 //! consistent.
 
+mod common;
+
+use common::scc::strongly_connected_components;
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use exact_ppr::core::PprConfig;
 use exact_ppr::graph::dense::dense_ppv;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use exact_ppr::graph::reach::reverse_reachable;
-use exact_ppr::graph::scc::strongly_connected_components;
 use exact_ppr::graph::{delta, CsrGraph, EdgeUpdate, GraphBuilder, NodeId};
 use exact_ppr::partition::HierarchyConfig;
 use exact_ppr::prelude::{Cluster, DynamicPprServer, Request, ServeConfig};

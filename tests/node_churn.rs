@@ -16,10 +16,12 @@
 //!   `promoted_hubs`/`dirty_nodes` consistent, and leave the index
 //!   bit-identical to a scratch rebuild.
 
+mod common;
+
+use common::scc::strongly_connected_components;
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use exact_ppr::core::PprConfig;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
-use exact_ppr::graph::scc::strongly_connected_components;
 use exact_ppr::graph::{apply_delta, delta, CsrGraph, EdgeUpdate, GraphBuilder, NodeId};
 use exact_ppr::partition::HierarchyConfig;
 use exact_ppr::prelude::{Cluster, DynamicPprServer, MaintenanceEngine, ServeConfig};

@@ -5,14 +5,22 @@
 //! both GPA and HGPA. The builds differ only in *when* each work item
 //! runs (and hence in the wall-clock / modeled timing fields of
 //! [`OfflineReport`], which this suite checks for shape, not value).
+//!
+//! Incremental maintenance recomputes an update batch's stale vectors on
+//! the same pool, so the same holds for it: a threaded
+//! [`MaintenanceEngine`] must leave every stored vector and report every
+//! [`UpdateStats`](exact_ppr::core::incremental::UpdateStats) field
+//! exactly as the sequential one does, batch after batch.
 
 use exact_ppr::core::gpa::{GpaBuildOptions, GpaIndex};
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex, OfflineReport};
+use exact_ppr::core::incremental::MaintenanceEngine;
 use exact_ppr::core::{ParallelismMode, PprConfig};
 use exact_ppr::graph::csr::from_edges;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
-use exact_ppr::graph::CsrGraph;
+use exact_ppr::graph::{apply_delta, CsrGraph, GraphDelta};
 use exact_ppr::partition::HierarchyConfig;
+use exact_ppr::workload::{MixedEvent, MixedStream, MixedStreamConfig};
 use proptest::prelude::*;
 
 /// Strategy: a random directed graph with 12..=80 nodes.
@@ -142,6 +150,82 @@ proptest! {
     ) {
         hgpa_differential(&g, &PprConfig::default(), machines, workers)?;
     }
+
+    #[test]
+    fn threaded_maintenance_is_bit_identical(
+        nodes in 40usize..120,
+        seed in 0u64..10_000,
+    ) {
+        maintenance_differential(nodes, seed, 16)?;
+    }
+}
+
+/// Drive one random stream of edge and node-churn batches through a
+/// sequential engine and through `Threads(2)` / `Threads(5)` engines, each
+/// on its own copy of one index, comparing after every batch.
+fn maintenance_differential(nodes: usize, seed: u64, events: usize) -> Result<(), String> {
+    let g0 = hierarchical_sbm(
+        &HsbmConfig {
+            nodes,
+            depth: 3,
+            locality: 0.9,
+            ..Default::default()
+        },
+        seed,
+    );
+    let opts = HgpaBuildOptions {
+        machines: 3,
+        hierarchy: HierarchyConfig {
+            max_leaf_size: 12,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let built = HgpaIndex::build(&g0, &PprConfig::default(), &opts);
+    let mut reference = (MaintenanceEngine::new(), built.clone());
+    let mut threaded = [2, 5].map(|workers| {
+        let engine = MaintenanceEngine::with_parallelism(ParallelismMode::Threads(workers));
+        (engine, built.clone())
+    });
+    let mut stream = MixedStream::new(
+        &g0,
+        MixedStreamConfig {
+            update_rate: 0.6,
+            updates_per_batch: 3,
+            churn_rate: 0.3,
+            ..Default::default()
+        },
+        seed,
+    );
+    let mut g = g0;
+    for (step, event) in stream.take(events).into_iter().enumerate() {
+        let delta = match event {
+            MixedEvent::Query(_) => continue,
+            MixedEvent::Update(edges) => GraphDelta::from_edges(edges),
+            MixedEvent::Churn(d) => d,
+        };
+        let applied = apply_delta(&g, &delta).map_err(|e| format!("step {step}: {e}"))?;
+        let (engine, idx) = &mut reference;
+        let want = engine
+            .apply(idx, &applied)
+            .map_err(|e| format!("step {step}: sequential engine rejected: {e}"))?;
+        for (engine, idx) in &mut threaded {
+            let got = engine
+                .apply(idx, &applied)
+                .map_err(|e| format!("step {step}: threaded engine rejected: {e}"))?;
+            if got != want {
+                return Err(format!("step {step}: stats diverged: {got:?} vs {want:?}"));
+            }
+            if idx.base_vectors() != reference.1.base_vectors() {
+                return Err(format!("step {step}: base vectors diverged"));
+            }
+            if idx.skeleton_columns() != reference.1.skeleton_columns() {
+                return Err(format!("step {step}: skeleton columns diverged"));
+            }
+        }
+        g = applied.graph;
+    }
+    Ok(())
 }
 
 /// A community-structured graph big enough that every worker count gets

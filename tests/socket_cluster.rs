@@ -164,6 +164,52 @@ fn sigkill_between_rounds_recovers_bit_identically() {
     assert!(sock.worker_pids().iter().all(Option::is_some));
 }
 
+/// `kill -9` a worker, then publish an epoch before the supervisor has
+/// noticed. The broadcast reaches the survivors; the dead worker fails
+/// its send or its ack and is written off, so `machines − 1` acks come
+/// back. The next round restarts it from the post-delta snapshot and
+/// answers bit-identically to the modeled path over the maintained index.
+#[test]
+fn sigkill_before_an_epoch_publish_acks_the_survivors_and_recovers() {
+    let g = sample(180, 29);
+    let idx = build_index(&g, 3);
+    let sock = launch("publish", &idx, &g, Vec::new());
+    let mut server = DynamicPprServer::from_index(g, idx, ServeConfig::default());
+
+    let victim = sock.worker_pids()[2].expect("machine 2 is live");
+    assert!(std::process::Command::new("kill")
+        .args(["-9", &victim.to_string()])
+        .status()
+        .expect("spawn kill")
+        .success());
+
+    // Node churn always has a net effect, so this is a real barrier.
+    let delta = GraphDelta {
+        nodes: vec![NodeUpdate::Add],
+        edges: vec![EdgeUpdate::Insert(180, 5), EdgeUpdate::Insert(7, 180)],
+    };
+    let epoch = server.apply_delta(&delta).expect("valid churn batch").epoch;
+    assert_eq!(epoch, 1);
+    let acks = sock
+        .publish_epoch(server.index(), server.graph(), &delta, epoch)
+        .expect("snapshot written");
+    assert_eq!(acks, sock.machines() - 1, "every survivor acks");
+    assert_eq!(sock.worker_pids()[2], None, "dead worker written off");
+    assert_eq!(sock.epoch(), epoch);
+
+    let modeled = Cluster::with_default_network();
+    let mut socketed = Cluster::with_default_network();
+    socketed.attach_socket(sock.clone());
+    let sources = [5u32, 7, 90, 180];
+    let got = socketed.query_many(server.index(), &sources);
+    let want = modeled.query_many(server.index(), &sources);
+    for (vg, vw) in got.results.iter().zip(&want.results) {
+        assert!(bits_equal(vg, vw), "post-publish round != modeled");
+    }
+    assert_eq!(sock.supervisor_stats().restarts, 1, "one restart");
+    assert!(sock.worker_pids().iter().all(Option::is_some));
+}
+
 /// A worker armed to abort on receiving its Nth request dies *mid-batch*
 /// (after the coordinator committed the round, before replying). The
 /// supervisor must restart it from the snapshot and resend within the
