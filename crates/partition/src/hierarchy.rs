@@ -8,6 +8,7 @@
 //! Recursion stops when a subgraph has no internal edges (the paper's
 //! criterion, §6.2.1), is tiny, or hits a depth cap.
 
+use crate::flat::FlatPartition;
 use crate::kway::partition_kway;
 use crate::separator::{select_hubs, CoverAlgorithm};
 use crate::work::WorkGraph;
@@ -26,7 +27,8 @@ pub struct SubgraphNode {
     /// Member nodes (sorted, global ids). Includes this subgraph's own
     /// hubs; excludes every ancestor's hubs.
     pub members: Vec<NodeId>,
-    /// Hub nodes separating the children (sorted). Empty iff leaf.
+    /// Hub nodes separating the children (sorted). Empty for every leaf
+    /// (and for the root of a hub-free [`Hierarchy::from_flat`]).
     pub hubs: Vec<NodeId>,
 }
 
@@ -102,6 +104,40 @@ impl Hierarchy {
         h.split_into(g, cfg, all, 0, None);
         debug_assert!(h.home.iter().all(|&x| x != usize::MAX));
         h
+    }
+
+    /// The one-level hierarchy of a flat partition: GPA (§3) is HGPA (§4)
+    /// with a single split. The root (level 0) holds every node and has
+    /// the flat hubs as its hub set; below it sits one leaf per part, in
+    /// part order. Empty parts are kept as empty leaves, so leaf `i` is
+    /// part `i` and HGPA's round-robin leaf placement (`i % machines`)
+    /// matches GPA's part placement (`p % machines`).
+    pub fn from_flat(flat: &FlatPartition) -> Self {
+        let n = flat.part_of.len();
+        let mut nodes = vec![SubgraphNode {
+            level: 0,
+            parent: None,
+            children: (1..=flat.parts()).collect(),
+            members: (0..n as NodeId).collect(),
+            hubs: flat.hubs.clone(),
+        }];
+        nodes.extend(flat.subgraphs.iter().map(|members| SubgraphNode {
+            level: 1,
+            parent: Some(0),
+            children: Vec::new(),
+            members: members.clone(),
+            hubs: Vec::new(),
+        }));
+        Hierarchy {
+            nodes,
+            home: flat
+                .part_of
+                .iter()
+                .map(|p| p.map_or(0, |p| p as usize + 1))
+                .collect(),
+            hub_level: flat.part_of.iter().map(|p| p.is_none().then_some(0)).collect(),
+            depth: 1,
+        }
     }
 
     fn split_into(
@@ -392,6 +428,62 @@ mod tests {
         assert!(h.nodes[0].children.len() >= 2);
         // Everyone still gets a home.
         assert!(h.home.iter().all(|&x| x != usize::MAX));
+    }
+
+    fn flat(g: &CsrGraph, parts: usize) -> Hierarchy {
+        let fp = crate::flat::flat_partition(
+            g,
+            parts,
+            CoverAlgorithm::KonigExact,
+            &PartitionConfig::default(),
+        );
+        let h = Hierarchy::from_flat(&fp);
+        assert_eq!(h.depth, 1);
+        assert_eq!(h.nodes[0].hubs, fp.hubs);
+        assert_eq!(h.leaves().count(), parts, "one leaf per part, empty ones too");
+        for (p, members) in fp.subgraphs.iter().enumerate() {
+            assert_eq!(&h.nodes[p + 1].members, members, "leaf {} is part {p}", p + 1);
+        }
+        h
+    }
+
+    #[test]
+    fn from_flat_homes_and_hub_levels_agree() {
+        let g = sample(300);
+        let h = flat(&g, 4);
+        assert!(h.total_hubs() > 0);
+        assert_eq!(h.nodes[0].members.len(), 300);
+        for v in 0..300u32 {
+            let home = &h.nodes[h.home[v as usize]];
+            if h.is_hub(v) {
+                assert_eq!(h.hub_level[v as usize], Some(0));
+                assert!(home.hubs.binary_search(&v).is_ok(), "hub {v} not homed at the root");
+            } else {
+                assert!(home.is_leaf() && home.members.binary_search(&v).is_ok(), "node {v}");
+            }
+            assert_eq!(h.path_to(v)[0], h.root());
+        }
+        assert!(crate::quality::verify_hierarchy_separation(&g, &h));
+    }
+
+    #[test]
+    fn from_flat_keeps_empty_parts_as_leaves() {
+        // Five nodes in sixteen parts: most parts are empty, and each
+        // still gets its own (empty) leaf in part order.
+        let g = ppr_graph::csr::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+        let h = flat(&g, 16);
+        assert!(h.leaves().any(|l| h.nodes[l].members.is_empty()));
+        assert!(crate::quality::verify_hierarchy_separation(&g, &h));
+    }
+
+    #[test]
+    fn from_flat_one_part_has_no_hubs() {
+        let g = sample(100);
+        let h = flat(&g, 1);
+        assert_eq!(h.total_hubs(), 0);
+        assert!(!h.nodes[0].is_leaf(), "the root still has its one leaf below it");
+        assert!(h.home.iter().all(|&home| home == 1));
+        assert!(crate::quality::verify_hierarchy_separation(&g, &h));
     }
 
     #[test]

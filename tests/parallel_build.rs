@@ -19,7 +19,7 @@ use exact_ppr::core::{ParallelismMode, PprConfig};
 use exact_ppr::graph::csr::from_edges;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use exact_ppr::graph::{apply_delta, CsrGraph, GraphDelta};
-use exact_ppr::partition::HierarchyConfig;
+use exact_ppr::partition::{flat_partition, Hierarchy, HierarchyConfig};
 use exact_ppr::workload::{MixedEvent, MixedStream, MixedStreamConfig};
 use proptest::prelude::*;
 
@@ -152,12 +152,98 @@ proptest! {
     }
 
     #[test]
+    fn gpa_is_a_one_level_hgpa(
+        nodes in 5usize..60,
+        seed in 0u64..10_000,
+        parts in 1usize..70,
+        machines in 1usize..7,
+        workers in 0usize..4,
+    ) {
+        let parallelism = match workers {
+            0 | 1 => ParallelismMode::Sequential,
+            w => ParallelismMode::Threads(w),
+        };
+        one_level_differential(nodes, seed, parts, machines, parallelism)?;
+    }
+
+    #[test]
     fn threaded_maintenance_is_bit_identical(
         nodes in 40usize..120,
         seed in 0u64..10_000,
     ) {
         maintenance_differential(nodes, seed, 16)?;
     }
+}
+
+/// GPA (§3) is HGPA (§4) over [`Hierarchy::from_flat`]: on the same flat
+/// partition the two builds store the same hubs, placements and vectors
+/// and answer every machine reply and every query bit for bit.
+fn one_level_differential(
+    nodes: usize,
+    seed: u64,
+    parts: usize,
+    machines: usize,
+    parallelism: ParallelismMode,
+) -> Result<(), String> {
+    let g = hierarchical_sbm(
+        &HsbmConfig {
+            nodes,
+            depth: 3,
+            locality: 0.9,
+            ..Default::default()
+        },
+        seed,
+    );
+    let cfg = PprConfig::default();
+    let opts = GpaBuildOptions {
+        subgraphs: parts,
+        machines,
+        parallelism,
+        ..Default::default()
+    };
+    let gpa = GpaIndex::build(&g, &cfg, &opts);
+    let flat = flat_partition(&g, parts, opts.cover, &opts.partition);
+    let hopts = HgpaBuildOptions {
+        machines,
+        parallelism,
+        ..Default::default()
+    };
+    let (hgpa, _) =
+        HgpaIndex::build_distributed_with_hierarchy(&g, &cfg, &hopts, Hierarchy::from_flat(&flat));
+
+    if gpa.hubs() != hgpa.hub_ids() {
+        return Err("hub ids diverged".into());
+    }
+    if gpa.machine_of_hub() != hgpa.machine_of_hub() {
+        return Err("hub placement diverged".into());
+    }
+    let gpa_base: Vec<u32> = (0..nodes as u32).map(|u| gpa.machine_of_node(u)).collect();
+    if gpa_base != hgpa.machine_of_base() {
+        return Err("base placement diverged".into());
+    }
+    if gpa.base_vectors() != hgpa.base_vectors() {
+        return Err("base vectors diverged".into());
+    }
+    if gpa.skeleton_columns() != hgpa.skeleton_columns() {
+        return Err("skeleton columns diverged".into());
+    }
+    if gpa.stored_entries() != hgpa.stored_entries() {
+        return Err("stored entries diverged".into());
+    }
+    if gpa.storage_bytes_per_machine() != hgpa.storage_bytes_per_machine() {
+        return Err("per-machine space diverged".into());
+    }
+    for u in 0..nodes as u32 {
+        for m in 0..machines as u32 {
+            if gpa.machine_vector(u, m) != hgpa.machine_vector(u, m) {
+                return Err(format!("machine {m}'s reply for {u} diverged"));
+            }
+        }
+        if gpa.query(u) != hgpa.query(u) {
+            return Err(format!("query {u} diverged"));
+        }
+    }
+    Ok(())
 }
 
 /// Drive one random stream of edge and node-churn batches through a
