@@ -2,9 +2,10 @@
 //! workflow, and the `PPR_INDEX_PATH` load-or-build helper the serving
 //! scenario uses to cold-start.
 //!
-//! `index-save` builds both indexes for the serving scenario's graph
-//! (Web stand-in, 6 machines — the paper's §6.1 default) and writes
-//! `gpa.pprx` / `hgpa.pprx` into the artifact directory. `index-load`
+//! `index-save` builds a GPA (one-level) and an HGPA index for the
+//! serving scenario's graph (Web stand-in, 6 machines — the paper's §6.1
+//! default) and writes `gpa.pprx` / `hgpa.pprx` into the artifact
+//! directory. `index-load`
 //! is the other half of the lifecycle: it loads whatever artifacts are
 //! there **without building anything**, boots a [`ppr_serve::ColdStart`]
 //! server over each, and drives a small query batch through it — the
@@ -20,7 +21,7 @@
 
 use crate::report::{fmt_bytes, fmt_secs, Table};
 use crate::{dataset_graph, default_hgpa_opts, Profile};
-use ppr_core::gpa::{GpaBuildOptions, GpaIndex};
+use ppr_core::gpa::{self, GpaBuildOptions};
 use ppr_core::hgpa::HgpaIndex;
 use ppr_core::parallel::Stopwatch;
 use ppr_core::persist;
@@ -68,50 +69,34 @@ fn artifact_matches(
 /// save back when a directory is configured). Never panics on a bad
 /// artifact — a corrupt file is a cache miss, not a crash.
 pub fn load_or_build_hgpa(g: &CsrGraph, cfg: &PprConfig, machines: usize) -> (HgpaIndex, Provenance) {
-    let dir = std::env::var("PPR_INDEX_PATH").ok().map(PathBuf::from);
-    if let Some(dir) = &dir {
-        let path = dir.join(HGPA_FILE);
-        match persist::load_hgpa_file(&path) {
-            Ok(idx) if artifact_matches(idx.node_count(), idx.machines(), idx.config(), g, machines, cfg) => {
-                println!("serve: cold-started HGPA from {}", path.display());
-                return (idx, Provenance::Loaded);
-            }
-            Ok(_) => println!(
-                "serve: artifact {} is for a different graph/config; rebuilding",
-                path.display()
-            ),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => println!("serve: cannot load {}: {e}; rebuilding", path.display()),
-        }
-    }
-    let idx = HgpaIndex::build(g, cfg, &default_hgpa_opts(machines));
-    if let Some(dir) = &dir {
-        save_into(dir, HGPA_FILE, |p| persist::save_hgpa_file(&idx, p));
-    }
-    (idx, Provenance::Built)
+    load_or_build(g, cfg, machines, HGPA_FILE, || {
+        HgpaIndex::build(g, cfg, &default_hgpa_opts(machines))
+    })
 }
 
-/// GPA twin of [`load_or_build_hgpa`].
+/// GPA twin of [`load_or_build_hgpa`]: the one-level index of
+/// [`gpa::build`], kept in its own artifact file.
 pub fn load_or_build_gpa(
     g: &CsrGraph,
     cfg: &PprConfig,
     opts: &GpaBuildOptions,
-) -> (GpaIndex, Provenance) {
+) -> (HgpaIndex, Provenance) {
+    load_or_build(g, cfg, opts.machines, GPA_FILE, || gpa::build(g, cfg, opts).0)
+}
+
+fn load_or_build(
+    g: &CsrGraph,
+    cfg: &PprConfig,
+    machines: usize,
+    file: &str,
+    build: impl FnOnce() -> HgpaIndex,
+) -> (HgpaIndex, Provenance) {
     let dir = std::env::var("PPR_INDEX_PATH").ok().map(PathBuf::from);
     if let Some(dir) = &dir {
-        let path = dir.join(GPA_FILE);
-        match persist::load_gpa_file(&path) {
-            Ok(idx)
-                if artifact_matches(
-                    idx.node_count(),
-                    idx.machines(),
-                    idx.config(),
-                    g,
-                    opts.machines,
-                    cfg,
-                ) =>
-            {
-                println!("serve: cold-started GPA from {}", path.display());
+        let path = dir.join(file);
+        match persist::load_index_file(&path) {
+            Ok(idx) if artifact_matches(idx.node_count(), idx.machines(), idx.config(), g, machines, cfg) => {
+                println!("serve: cold-started from {}", path.display());
                 return (idx, Provenance::Loaded);
             }
             Ok(_) => println!(
@@ -122,9 +107,9 @@ pub fn load_or_build_gpa(
             Err(e) => println!("serve: cannot load {}: {e}; rebuilding", path.display()),
         }
     }
-    let idx = GpaIndex::build(g, cfg, opts);
+    let idx = build();
     if let Some(dir) = &dir {
-        save_into(dir, GPA_FILE, |p| persist::save_gpa_file(&idx, p));
+        save_into(dir, file, |p| persist::save_hgpa_file(&idx, p));
     }
     (idx, Provenance::Built)
 }
@@ -154,53 +139,45 @@ pub fn run_save(profile: &Profile) {
         &["index", "build", "save", "bytes on disk", "entries"],
     );
 
-    let sw = Stopwatch::start();
-    let gpa = GpaIndex::build(
-        &g,
-        &cfg,
-        &GpaBuildOptions {
-            subgraphs: 8,
-            machines,
-            parallelism: ppr_core::ParallelismMode::build_from_env(),
-            ..Default::default()
-        },
-    );
-    let build_s = sw.elapsed_seconds();
-    let sw = Stopwatch::start();
-    let path = dir.join(GPA_FILE);
-    if let Err(e) = persist::save_gpa_file(&gpa, &path) {
-        eprintln!("index-save: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    let save_s = sw.elapsed_seconds();
-    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    t.row(vec![
-        "GPA".into(),
-        fmt_secs(build_s),
-        fmt_secs(save_s),
-        fmt_bytes(bytes),
-        gpa.stored_entries().to_string(),
-    ]);
-
-    let sw = Stopwatch::start();
-    let hgpa = HgpaIndex::build(&g, &cfg, &default_hgpa_opts(machines));
-    let build_s = sw.elapsed_seconds();
-    let sw = Stopwatch::start();
-    let path = dir.join(HGPA_FILE);
-    if let Err(e) = persist::save_hgpa_file(&hgpa, &path) {
-        eprintln!("index-save: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    let save_s = sw.elapsed_seconds();
-    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    t.row(vec![
-        "HGPA".into(),
-        fmt_secs(build_s),
-        fmt_secs(save_s),
-        fmt_bytes(bytes),
-        hgpa.stored_entries().to_string(),
-    ]);
+    let gpa_opts = GpaBuildOptions {
+        subgraphs: 8,
+        machines,
+        parallelism: ppr_core::ParallelismMode::build_from_env(),
+        ..Default::default()
+    };
+    save_row(&mut t, &dir, "GPA", GPA_FILE, || gpa::build(&g, &cfg, &gpa_opts).0);
+    save_row(&mut t, &dir, "HGPA", HGPA_FILE, || {
+        HgpaIndex::build(&g, &cfg, &default_hgpa_opts(machines))
+    });
     t.print();
+}
+
+/// Build one index, save it as `dir/file`, and add its row to `t`.
+fn save_row(
+    t: &mut Table,
+    dir: &std::path::Path,
+    label: &str,
+    file: &str,
+    build: impl FnOnce() -> HgpaIndex,
+) {
+    let sw = Stopwatch::start();
+    let idx = build();
+    let build_s = sw.elapsed_seconds();
+    let sw = Stopwatch::start();
+    let path = dir.join(file);
+    if let Err(e) = persist::save_hgpa_file(&idx, &path) {
+        eprintln!("index-save: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    let save_s = sw.elapsed_seconds();
+    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    t.row(vec![
+        label.into(),
+        fmt_secs(build_s),
+        fmt_secs(save_s),
+        fmt_bytes(bytes),
+        idx.stored_entries().to_string(),
+    ]);
 }
 
 /// `repro index-load`: cold-start both artifacts — no builder involved —
@@ -211,7 +188,7 @@ pub fn run_load(profile: &Profile) {
     let g = dataset_graph(Dataset::Web, profile);
     let mut t = Table::new(
         format!("index-load: {} (cold start, no rebuild)", dir.display()),
-        &["artifact", "kind", "load", "nodes", "machines", "entries", "served", "sections"],
+        &["artifact", "depth", "load", "nodes", "machines", "entries", "served", "sections"],
     );
 
     for file in [GPA_FILE, HGPA_FILE] {
@@ -264,7 +241,7 @@ pub fn run_load(profile: &Profile) {
         let index = cold.index();
         t.row(vec![
             file.into(),
-            format!("{:?}", index.kind()),
+            index.hierarchy().depth.to_string(),
             fmt_secs(load_s),
             index.node_count().to_string(),
             index.machines().to_string(),

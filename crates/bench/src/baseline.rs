@@ -40,8 +40,8 @@ use crate::report::{fmt_bytes, fmt_secs, Table};
 use crate::serve::{measure_sharded, request_mix, ServeKnobs};
 use crate::{dataset_graph, default_hgpa_opts, Profile};
 use ppr_cluster::{Cluster, ClusterConfig, ParallelismMode};
-use ppr_core::gpa::{GpaBuildOptions, GpaIndex};
-use ppr_core::hgpa::{HgpaIndex, OfflineReport};
+use ppr_core::gpa::{self, GpaBuildOptions};
+use ppr_core::hgpa::{HgpaBuildOptions, HgpaIndex, OfflineReport};
 use ppr_core::PprConfig;
 use ppr_graph::{node_id, CsrGraph, NodeId};
 use ppr_workload::{Dataset, ZipfQueryStream};
@@ -342,74 +342,62 @@ fn record_build(
 pub fn run_offline(g: &CsrGraph, cfg: &PprConfig, threads: &[usize]) -> BaselineReport {
     let mut report = BaselineReport::new("offline", threads);
 
-    let mut gpa_entries: Option<usize> = None;
-    let mut hgpa_entries: Option<usize> = None;
-    // Builds are bit-identical across worker counts (pinned in
-    // tests/parallel_build.rs), so any sweep's index serves as the
-    // persistence-phase subject below.
-    let mut gpa_for_persist: Option<GpaIndex> = None;
-    let mut hgpa_for_persist: Option<HgpaIndex> = None;
-    for &t in threads {
-        // Min-of-N: keep the report of the fastest repetition (its
-        // modeled numbers are the least contention-inflated too).
-        let mut best: Option<OfflineReport> = None;
-        let mut entries = 0usize;
-        for _ in 0..TIMING_REPS {
-            let (gpa, off) = GpaIndex::build_distributed(g, cfg, &build_opts_gpa(t));
-            entries = gpa.stored_entries();
-            gpa_for_persist = Some(gpa);
-            if best.as_ref().is_none_or(|b| off.wall_seconds < b.wall_seconds) {
-                best = Some(off);
-            }
+    // GPA is the one-level HGPA, so both builds yield an `HgpaIndex` and
+    // share every phase below.
+    let algos = ["gpa", "hgpa"];
+    let build = |algo: &str, t: usize| {
+        if algo == "gpa" {
+            return gpa::build(g, cfg, &build_opts_gpa(t));
         }
-        record_build(&mut report, "gpa", t, &best.expect("TIMING_REPS >= 1"));
-        assert_eq!(
-            *gpa_entries.get_or_insert(entries),
-            entries,
-            "GPA build at {t} workers diverged from the first sweep entry"
-        );
-
-        let opts = ppr_core::hgpa::HgpaBuildOptions {
+        let opts = HgpaBuildOptions {
             parallelism: ParallelismMode::with_workers(t),
             ..default_hgpa_opts(6)
         };
-        let mut best: Option<OfflineReport> = None;
-        for _ in 0..TIMING_REPS {
-            let (hgpa, off) = HgpaIndex::build_distributed(g, cfg, &opts);
-            entries = hgpa.stored_entries();
-            hgpa_for_persist = Some(hgpa);
-            if best.as_ref().is_none_or(|b| off.wall_seconds < b.wall_seconds) {
-                best = Some(off);
+        HgpaIndex::build_distributed(g, cfg, &opts)
+    };
+    let mut entries: [Option<usize>; 2] = [None, None];
+    // Builds are bit-identical across worker counts (pinned in
+    // tests/parallel_build.rs), so any sweep's index serves as the
+    // persistence-phase subject below.
+    let mut for_persist: [Option<HgpaIndex>; 2] = [None, None];
+    for &t in threads {
+        for (a, algo) in algos.into_iter().enumerate() {
+            // Min-of-N: keep the report of the fastest repetition (its
+            // modeled numbers are the least contention-inflated too).
+            let mut best: Option<OfflineReport> = None;
+            for _ in 0..TIMING_REPS {
+                let (idx, off) = build(algo, t);
+                let stored = idx.stored_entries();
+                assert_eq!(
+                    *entries[a].get_or_insert(stored),
+                    stored,
+                    "{algo} build at {t} workers diverged from the first sweep entry"
+                );
+                for_persist[a] = Some(idx);
+                if best.as_ref().is_none_or(|b| off.wall_seconds < b.wall_seconds) {
+                    best = Some(off);
+                }
+            }
+            let off = best.expect("TIMING_REPS >= 1");
+            record_build(&mut report, algo, t, &off);
+            if algo == "hgpa" && t == *threads.first().expect("non-empty sweep") {
+                report.push(
+                    "hgpa_build_partition_seconds".into(),
+                    off.partition_seconds,
+                    "s",
+                    Gate::Info,
+                );
             }
         }
-        let off = best.expect("TIMING_REPS >= 1");
-        record_build(&mut report, "hgpa", t, &off);
-        if t == *threads.first().expect("non-empty sweep") {
-            report.push(
-                "hgpa_build_partition_seconds".into(),
-                off.partition_seconds,
-                "s",
-                Gate::Info,
-            );
-        }
-        assert_eq!(
-            *hgpa_entries.get_or_insert(entries),
-            entries,
-            "HGPA build at {t} workers diverged from the first sweep entry"
+    }
+    for (a, algo) in algos.into_iter().enumerate() {
+        report.push(
+            format!("{algo}_stored_entries"),
+            entries[a].unwrap_or(0) as f64,
+            "entries",
+            Gate::Exact,
         );
     }
-    report.push(
-        "gpa_stored_entries".into(),
-        gpa_entries.unwrap_or(0) as f64,
-        "entries",
-        Gate::Exact,
-    );
-    report.push(
-        "hgpa_stored_entries".into(),
-        hgpa_entries.unwrap_or(0) as f64,
-        "entries",
-        Gate::Exact,
-    );
 
     // Persistence: save each index once (save time is info — it runs
     // once, offline), time cold loads min-of-N (wall-gated: the load
@@ -420,60 +408,30 @@ pub fn run_offline(g: &CsrGraph, cfg: &PprConfig, threads: &[usize]) -> Baseline
     // bit-identically to the built ones; asserted here as an in-run
     // echo of tests/persist_roundtrip.rs.
     let build_ref = *threads.first().expect("non-empty sweep");
-    {
-        let idx = gpa_for_persist.expect("sweep built at least one GPA index");
+    for (idx, algo) in for_persist.into_iter().zip(algos) {
+        let idx = idx.expect("sweep built at least one index");
         let sw = ppr_core::parallel::Stopwatch::start();
         let mut buf = Vec::new();
-        ppr_core::persist::save_gpa(&idx, &mut buf).expect("in-memory GPA save");
+        ppr_core::persist::save_hgpa(&idx, &mut buf).expect("in-memory save");
         let save_s = sw.elapsed_seconds();
         let mut load_s = f64::INFINITY;
         let mut loaded = None;
         for _ in 0..TIMING_REPS {
             let sw = ppr_core::parallel::Stopwatch::start();
-            loaded = Some(ppr_core::persist::load_gpa(buf.as_slice()).expect("GPA round-trip"));
+            loaded = Some(ppr_core::persist::load_index(buf.as_slice()).expect("round-trip"));
             load_s = load_s.min(sw.elapsed_seconds());
         }
         let loaded = loaded.expect("TIMING_REPS >= 1");
-        assert_eq!(loaded.stored_entries(), idx.stored_entries(), "GPA load drifted");
+        assert_eq!(loaded.stored_entries(), idx.stored_entries(), "{algo} load drifted");
         for u in [0, g.node_count() / 2, g.node_count() - 1] {
-            assert_eq!(idx.query(node_id(u)), loaded.query(node_id(u)), "GPA PPV drifted at {u}");
+            assert_eq!(idx.query(node_id(u)), loaded.query(node_id(u)), "{algo} PPV drifted at {u}");
         }
-        report.push("gpa_save_seconds".into(), save_s, "s", Gate::Info);
-        report.push("gpa_load_seconds".into(), load_s, "s", Gate::Wall);
-        report.push("gpa_bytes_on_disk".into(), buf.len() as f64, "bytes", Gate::Exact);
-        if let Some(build) = report.value(&format!("gpa_build_wall_seconds_t{build_ref}")) {
+        report.push(format!("{algo}_save_seconds"), save_s, "s", Gate::Info);
+        report.push(format!("{algo}_load_seconds"), load_s, "s", Gate::Wall);
+        report.push(format!("{algo}_bytes_on_disk"), buf.len() as f64, "bytes", Gate::Exact);
+        if let Some(build) = report.value(&format!("{algo}_build_wall_seconds_t{build_ref}")) {
             report.push(
-                "gpa_load_vs_build_speedup".into(),
-                build / load_s.max(1e-12),
-                "x",
-                Gate::Info,
-            );
-        }
-    }
-    {
-        let idx = hgpa_for_persist.expect("sweep built at least one HGPA index");
-        let sw = ppr_core::parallel::Stopwatch::start();
-        let mut buf = Vec::new();
-        ppr_core::persist::save_hgpa(&idx, &mut buf).expect("in-memory HGPA save");
-        let save_s = sw.elapsed_seconds();
-        let mut load_s = f64::INFINITY;
-        let mut loaded = None;
-        for _ in 0..TIMING_REPS {
-            let sw = ppr_core::parallel::Stopwatch::start();
-            loaded = Some(ppr_core::persist::load_hgpa(buf.as_slice()).expect("HGPA round-trip"));
-            load_s = load_s.min(sw.elapsed_seconds());
-        }
-        let loaded = loaded.expect("TIMING_REPS >= 1");
-        assert_eq!(loaded.stored_entries(), idx.stored_entries(), "HGPA load drifted");
-        for u in [0, g.node_count() / 2, g.node_count() - 1] {
-            assert_eq!(idx.query(node_id(u)), loaded.query(node_id(u)), "HGPA PPV drifted at {u}");
-        }
-        report.push("hgpa_save_seconds".into(), save_s, "s", Gate::Info);
-        report.push("hgpa_load_seconds".into(), load_s, "s", Gate::Wall);
-        report.push("hgpa_bytes_on_disk".into(), buf.len() as f64, "bytes", Gate::Exact);
-        if let Some(build) = report.value(&format!("hgpa_build_wall_seconds_t{build_ref}")) {
-            report.push(
-                "hgpa_load_vs_build_speedup".into(),
+                format!("{algo}_load_vs_build_speedup"),
                 build / load_s.max(1e-12),
                 "x",
                 Gate::Info,
@@ -483,7 +441,7 @@ pub fn run_offline(g: &CsrGraph, cfg: &PprConfig, threads: &[usize]) -> Baseline
 
     // Speedups over the 1-worker wall time, per algorithm (info: they
     // measure this host's core count, not the code).
-    for algo in ["gpa", "hgpa"] {
+    for algo in algos {
         if let Some(base) = report.value(&format!("{algo}_build_wall_seconds_t1")) {
             for &t in threads {
                 if let Some(wall) = report.value(&format!("{algo}_build_wall_seconds_t{t}")) {

@@ -4,7 +4,7 @@
 use crate::report::{fmt_bytes, fmt_secs, Table};
 use crate::{dataset_graph, default_hgpa_opts, Profile};
 use ppr_cluster::Cluster;
-use ppr_core::gpa::{GpaBuildOptions, GpaIndex};
+use ppr_core::gpa::{self, GpaBuildOptions};
 use ppr_core::hgpa::HgpaIndex;
 use ppr_core::PprConfig;
 use ppr_workload::{query_nodes, Dataset};
@@ -29,7 +29,7 @@ pub fn measure(profile: &Profile) -> (AlgoRow, AlgoRow) {
     let queries = query_nodes(&g, profile.queries, 11);
     let cluster = Cluster::with_default_network();
 
-    let (gpa, gpa_off) = GpaIndex::build_distributed(
+    let (gpa, gpa_off) = gpa::build(
         &g,
         &cfg,
         &GpaBuildOptions {

@@ -4,14 +4,12 @@
 //! evaluation (§6 and Appendices A/B).
 //!
 //! Each `exp_*` module implements one table/figure group and prints the
-//! same rows/series the paper reports. Entry points:
-//!
-//! * `cargo bench` — every figure runs as a harness=false bench target at
-//!   the *quick* profile (smaller graphs, fewer queries), plus criterion
-//!   micro-benches for the kernels.
-//! * `cargo run --release -p ppr-bench --bin repro -- <experiment|all>
-//!   [--full]` — run individual experiments; `--full` uses the DESIGN.md
-//!   dataset sizes.
+//! same rows/series the paper reports. The entry point is
+//! `cargo run --release -p ppr-bench --bin repro -- <experiment|all>
+//! [--full]`: experiments run at the *quick* profile (smaller graphs,
+//! fewer queries) by default; `--full` uses the DESIGN.md dataset sizes.
+//! End-to-end serving and update performance is measured by the separate
+//! `benchmark/` package.
 //!
 //! Absolute numbers will not match the paper (scaled synthetic data, one
 //! host simulating the cluster); the *shapes* — who wins, how metrics

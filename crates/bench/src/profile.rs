@@ -15,7 +15,7 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Fast profile used by `cargo bench` (minutes, not hours).
+    /// Fast profile `repro` runs by default (minutes, not hours).
     pub fn quick() -> Self {
         Self {
             node_cap: Some(2_500),

@@ -57,7 +57,6 @@
 use crate::fault::{simulate_attempts, FanoutOutcome, FaultPlan, MachineOutcome, ResilienceConfig};
 use crate::socket::{MachineReply, RoundKind, SocketCluster};
 use crate::{ClusterConfig, NetworkModel, ParallelismMode};
-use ppr_core::gpa::GpaIndex;
 use ppr_core::hgpa::HgpaIndex;
 use ppr_core::{Scratch, SparseVector};
 use ppr_graph::NodeId;
@@ -104,23 +103,6 @@ pub trait DistributedQueryable: Sync {
     }
 }
 
-impl DistributedQueryable for GpaIndex {
-    fn machines(&self) -> usize {
-        GpaIndex::machines(self)
-    }
-    fn node_count(&self) -> usize {
-        GpaIndex::node_count(self)
-    }
-    fn machine_vector_preference_into(
-        &self,
-        preference: &[(NodeId, f64)],
-        machine: u32,
-        scratch: &mut Scratch,
-    ) -> SparseVector {
-        GpaIndex::machine_vector_preference_into(self, preference, machine, scratch)
-    }
-}
-
 impl DistributedQueryable for HgpaIndex {
     fn machines(&self) -> usize {
         HgpaIndex::machines(self)
@@ -135,35 +117,6 @@ impl DistributedQueryable for HgpaIndex {
         scratch: &mut Scratch,
     ) -> SparseVector {
         HgpaIndex::machine_vector_preference_into(self, preference, machine, scratch)
-    }
-}
-
-/// A [`PersistedIndex`](ppr_core::persist::PersistedIndex) serves exactly
-/// like the index it holds: a cold-started process answers the same
-/// fan-out queries, bit-identically, without knowing the kind up front.
-impl DistributedQueryable for ppr_core::persist::PersistedIndex {
-    fn machines(&self) -> usize {
-        match self {
-            Self::Gpa(i) => GpaIndex::machines(i),
-            Self::Hgpa(i) => HgpaIndex::machines(i),
-        }
-    }
-    fn node_count(&self) -> usize {
-        match self {
-            Self::Gpa(i) => GpaIndex::node_count(i),
-            Self::Hgpa(i) => HgpaIndex::node_count(i),
-        }
-    }
-    fn machine_vector_preference_into(
-        &self,
-        preference: &[(NodeId, f64)],
-        machine: u32,
-        scratch: &mut Scratch,
-    ) -> SparseVector {
-        match self {
-            Self::Gpa(i) => GpaIndex::machine_vector_preference_into(i, preference, machine, scratch),
-            Self::Hgpa(i) => HgpaIndex::machine_vector_preference_into(i, preference, machine, scratch),
-        }
     }
 }
 
@@ -706,7 +659,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppr_core::gpa::{GpaBuildOptions, GpaIndex};
+    use ppr_core::gpa::{self, GpaBuildOptions};
     use ppr_core::hgpa::{HgpaBuildOptions, HgpaIndex};
     use ppr_core::PprConfig;
     use ppr_graph::generators::{hierarchical_sbm, HsbmConfig};
@@ -764,14 +717,15 @@ mod tests {
     #[test]
     fn cluster_query_equals_centralized_gpa() {
         let g = sample();
-        let idx = GpaIndex::build(
+        let idx = gpa::build(
             &g,
             &cfg(),
             &GpaBuildOptions {
                 machines: 3,
                 ..Default::default()
             },
-        );
+        )
+        .0;
         let cluster = Cluster::with_default_network();
         let report = cluster.query(&idx, 77);
         let central = idx.query(77);
@@ -876,14 +830,15 @@ mod tests {
         // queries over 3 machines that's 3 envelopes of 13+8+4+8+1
         // bytes; the vector payloads themselves are byte-identical.
         let g = sample();
-        let idx = GpaIndex::build(
+        let idx = gpa::build(
             &g,
             &cfg(),
             &GpaBuildOptions {
                 machines: 3,
                 ..Default::default()
             },
-        );
+        )
+        .0;
         let cluster = Cluster::with_default_network();
         let sources = [7u32, 90];
         let batch = cluster.query_many(&idx, &sources);
@@ -941,7 +896,7 @@ mod tests {
     #[test]
     fn wall_clock_is_reported_alongside_modeled_runtime() {
         let g = sample();
-        let idx = GpaIndex::build(&g, &cfg(), &GpaBuildOptions::default());
+        let idx = gpa::build(&g, &cfg(), &GpaBuildOptions::default()).0;
         let cluster = Cluster::with_default_network();
         let report = cluster.query(&idx, 11);
         // Sequentially, the whole round's wall clock dominates any single
@@ -953,7 +908,7 @@ mod tests {
     #[test]
     fn batch_runs_all_queries() {
         let g = sample();
-        let idx = GpaIndex::build(&g, &cfg(), &GpaBuildOptions::default());
+        let idx = gpa::build(&g, &cfg(), &GpaBuildOptions::default()).0;
         let cluster = Cluster::new(ClusterConfig::default());
         let reports = cluster.query_batch(&idx, &[1, 2, 3]);
         assert_eq!(reports.len(), 3);

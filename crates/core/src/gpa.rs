@@ -6,26 +6,21 @@
 //! local PPV of the subgraph's virtual-subgraph view — collapsing the
 //! dominant O((|V|−|H|)²) storage term of PPV-JW to O((|V|−|H|)²/m).
 //!
-//! Storage layout mirrors §3.1: every machine holds the partial vectors of
-//! the nodes assigned to it and, for each of its hubs, the hub's partial
-//! vector **and** the hub's skeleton column (so the weight `S_u(h)` is
-//! local at query time). A query fans out once: machine `i` computes
-//!
-//! ```text
-//! v_i = (1/α) Σ_{h ∈ H(M_i)} S_u(h) · P_h   ( + p_u if u lives on M_i )
-//! ```
-//!
-//! and ships `v_i` to the coordinator, which sums — Eq. 5. Theorem 1 says
-//! the result equals PPV-JW's; the tests check it against the dense oracle.
+//! GPA is HGPA (§4) with one level: the hubs sit at the root and each part
+//! is a leaf ([`Hierarchy::from_flat`]). So a GPA index *is* an
+//! [`HgpaIndex`] built over that hierarchy, and it serves, persists,
+//! cold-starts and takes updates like any other. Placement follows §3.1:
+//! hub rank `i` lives on machine `i % n` (holding the hub's partial vector
+//! **and** skeleton column, so `S_u(h)` is local at query time) and part
+//! `p` on machine `p % n`.
 
-use crate::parallel::{run_timed, ParallelismMode};
-use crate::push::PushEngine;
-use crate::skeleton::SkeletonEngine;
-use crate::{PprConfig, Scratch, SparseVector};
-use ppr_graph::{CsrGraph, NodeId, ViewBuilder};
-use ppr_partition::{flat_partition, CoverAlgorithm, FlatPartition, PartitionConfig};
+use crate::hgpa::{HgpaBuildOptions, HgpaIndex, OfflineReport};
+use crate::parallel::{ParallelismMode, Stopwatch};
+use crate::PprConfig;
+use ppr_graph::CsrGraph;
+use ppr_partition::{flat_partition, CoverAlgorithm, Hierarchy, PartitionConfig};
 
-/// Build options for [`GpaIndex`].
+/// Build options for a GPA index ([`build`]).
 #[derive(Clone, Copy, Debug)]
 pub struct GpaBuildOptions {
     /// Number of subgraphs `m` the graph is partitioned into.
@@ -56,416 +51,28 @@ impl Default for GpaBuildOptions {
     }
 }
 
-/// Reusable per-worker state for the build fan-out: both engines grow to
-/// the largest (sub)graph their worker meets and are reused across every
-/// item, so the per-part `PushEngine::new(view.len())` allocation the
-/// sequential build used to pay is gone.
-struct BuildWorker<'g> {
-    push: PushEngine,
-    skel: SkeletonEngine,
-    vb: ViewBuilder<'g>,
-}
-
-/// What one work item produced.
-struct ItemOut {
-    bases: Vec<(NodeId, SparseVector)>,
-    skeleton: Option<(u32, SparseVector)>,
-}
-
-/// The precomputed GPA index.
-#[derive(Debug)]
-pub struct GpaIndex {
-    n: usize,
-    cfg: PprConfig,
-    machines: usize,
-    partition: FlatPartition,
-    /// Partial vector of every node (global-id entries).
-    base: Vec<SparseVector>,
-    /// `hub_rank[v]` = index into hub-aligned arrays, `u32::MAX` if non-hub.
-    hub_rank: Vec<u32>,
-    /// Skeleton column per hub rank (keyed by source node id).
-    skeletons: Vec<SparseVector>,
-    /// Machine owning each hub rank.
-    machine_of_hub: Vec<u32>,
-    /// Machine owning each part.
-    machine_of_part: Vec<u32>,
-}
-
-impl GpaIndex {
-    /// Partition, select hubs, and precompute all vectors (§5).
-    pub fn build(g: &CsrGraph, cfg: &PprConfig, opts: &GpaBuildOptions) -> Self {
-        Self::build_distributed(g, cfg, opts).0
-    }
-
-    /// Distributed build: hubs round-robin over machines (each machine
-    /// computes its hubs' partial vectors and skeleton columns against the
-    /// whole graph, §5.2 GPA flavour), parts round-robin (the owner
-    /// computes every member's local PPV). Returns per-machine offline
-    /// seconds alongside the index.
-    ///
-    /// The precomputation is decomposed into independent **work items** —
-    /// one per hub (partial vector + skeleton column) and one per
-    /// non-empty part (every member's local PPV) — dealt to
-    /// [`opts.parallelism`](GpaBuildOptions::parallelism) workers, each
-    /// owning one reusable engine set. Items are timed individually and
-    /// summed per owning machine, so
-    /// [`OfflineReport::per_machine_seconds`](crate::hgpa::OfflineReport::per_machine_seconds)
-    /// keeps reflecting dedicated-machine cost (the paper's offline
-    /// metric) under any worker count, while
-    /// [`OfflineReport::wall_seconds`](crate::hgpa::OfflineReport::wall_seconds)
-    /// reports what this host actually spent. Index contents are
-    /// bit-identical across modes: item work sets are disjoint, all
-    /// shared state is read-only, and outputs merge in item order.
-    pub fn build_distributed(
-        g: &CsrGraph,
-        cfg: &PprConfig,
-        opts: &GpaBuildOptions,
-    ) -> (Self, crate::hgpa::OfflineReport) {
-        cfg.validate();
-        assert!(opts.machines >= 1);
-        let n = g.node_count();
-        let machines = opts.machines;
-        let t0 = crate::parallel::Stopwatch::start();
-        let partition = flat_partition(g, opts.subgraphs, opts.cover, &opts.partition);
-        let partition_seconds = t0.elapsed_seconds();
-
-        let mut hub_rank = vec![u32::MAX; n];
-        for (i, &h) in partition.hubs.iter().enumerate() {
-            hub_rank[h as usize] = i as u32;
-        }
-        let mut blocked = vec![false; n];
-        for &h in &partition.hubs {
-            blocked[h as usize] = true;
-        }
-
-        // Work items: hubs first (item i = hub rank i), then the
-        // non-empty parts. Owners follow §3.1's round-robin placement.
-        let hubs = partition.hubs.len();
-        let live_parts: Vec<usize> = (0..partition.subgraphs.len())
-            .filter(|&p| !partition.subgraphs[p].is_empty())
-            .collect();
-        let machine_of_item = |item: usize| -> usize {
-            if item < hubs {
-                item % machines
-            } else {
-                live_parts[item - hubs] % machines
-            }
-        };
-
-        let t_build = crate::parallel::Stopwatch::start();
-        let (outputs, peak_scratch_bytes) = run_timed(
-            hubs + live_parts.len(),
-            opts.parallelism,
-            || BuildWorker {
-                push: PushEngine::new(0),
-                skel: SkeletonEngine::new(0),
-                vb: ViewBuilder::new(g),
-            },
-            |w| w.push.arena_bytes() + w.skel.arena_bytes(),
-            |item, w| {
-                if item < hubs {
-                    // Hub: partial (whole graph, blocked by H) + skeleton
-                    // column (whole graph).
-                    let h = partition.hubs[item];
-                    ItemOut {
-                        bases: vec![(h, w.push.run(g, h, &blocked, cfg).partial)],
-                        skeleton: Some((item as u32, w.skel.run(g, h, cfg))),
-                    }
-                } else {
-                    // Part: full local PPV per member (Theorem 2).
-                    let part = &partition.subgraphs[live_parts[item - hubs]];
-                    let view = w.vb.build(part);
-                    let no_block = vec![false; view.len()];
-                    let bases = view
-                        .globals()
-                        .iter()
-                        .enumerate()
-                        .map(|(local, &global)| {
-                            let res = w.push.run(&view, local as NodeId, &no_block, cfg);
-                            (
-                                global,
-                                SparseVector::from_entries(
-                                    res.partial
-                                        .iter()
-                                        .map(|(l, v)| (view.global_of(l), v))
-                                        .collect(),
-                                ),
-                            )
-                        })
-                        .collect();
-                    ItemOut {
-                        bases,
-                        skeleton: None,
-                    }
-                }
-            },
-        );
-        let wall_seconds = t_build.elapsed_seconds();
-
-        let mut base: Vec<SparseVector> = vec![SparseVector::new(); n];
-        let mut skeletons: Vec<SparseVector> = vec![SparseVector::new(); hubs];
-        let mut per_machine_seconds = vec![0.0f64; machines];
-        for (item, (out, secs)) in outputs.into_iter().enumerate() {
-            for (v, vec) in out.bases {
-                base[v as usize] = vec;
-            }
-            if let Some((rank, col)) = out.skeleton {
-                skeletons[rank as usize] = col;
-            }
-            per_machine_seconds[machine_of_item(item)] += secs;
-        }
-
-        // Even distribution: hubs round-robin, parts round-robin (§3.1).
-        let machine_of_hub: Vec<u32> = (0..partition.hubs.len())
-            // audit:allow(lossy-id-cast): machine index, bounded by `% machines`
-            .map(|i| (i % machines) as u32)
-            .collect();
-        let machine_of_part: Vec<u32> = (0..partition.subgraphs.len())
-            // audit:allow(lossy-id-cast): machine index, bounded by `% machines`
-            .map(|p| (p % machines) as u32)
-            .collect();
-
-        let idx = Self {
-            n,
-            cfg: *cfg,
-            machines,
-            partition,
-            base,
-            hub_rank,
-            skeletons,
-            machine_of_hub,
-            machine_of_part,
-        };
-        let report = crate::hgpa::OfflineReport {
-            per_machine_seconds,
-            partition_seconds,
-            wall_seconds,
-            peak_scratch_bytes,
-        };
-        (idx, report)
-    }
-
-    /// Number of machines.
-    pub fn machines(&self) -> usize {
-        self.machines
-    }
-
-    /// Number of graph nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// The hub set.
-    pub fn hubs(&self) -> &[NodeId] {
-        &self.partition.hubs
-    }
-
-    /// The flat partition backing this index.
-    pub fn partition(&self) -> &FlatPartition {
-        &self.partition
-    }
-
-    /// PPR configuration used at build time.
-    pub fn config(&self) -> &PprConfig {
-        &self.cfg
-    }
-
-    /// Base (partial) vector of every node, indexed by node id — the
-    /// precomputed state the machine replies are assembled from. Exposed
-    /// so differential tests can pin builds bit-identical.
-    pub fn base_vectors(&self) -> &[SparseVector] {
-        &self.base
-    }
-
-    /// Skeleton column per hub rank (aligned with [`GpaIndex::hubs`]).
-    pub fn skeleton_columns(&self) -> &[SparseVector] {
-        &self.skeletons
-    }
-
-    /// Machine owning each hub rank.
-    pub fn machine_of_hub(&self) -> &[u32] {
-        &self.machine_of_hub
-    }
-
-    /// Machine owning each part.
-    pub fn machine_of_part(&self) -> &[u32] {
-        &self.machine_of_part
-    }
-
-    /// Total stored entries across machines (base vectors + skeleton
-    /// columns) — the space-accounting twin of
-    /// [`HgpaIndex::stored_entries`](crate::hgpa::HgpaIndex::stored_entries).
-    pub fn stored_entries(&self) -> usize {
-        self.base.iter().map(SparseVector::nnz).sum::<usize>()
-            + self.skeletons.iter().map(SparseVector::nnz).sum::<usize>()
-    }
-
-    /// Reassemble from persisted fields. The loader (`core::persist`)
-    /// validates the partition before calling this; `hub_rank` is derived
-    /// here from hub order rather than stored.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_persist_parts(
-        n: usize,
-        cfg: PprConfig,
-        machines: usize,
-        partition: FlatPartition,
-        base: Vec<SparseVector>,
-        skeletons: Vec<SparseVector>,
-        machine_of_hub: Vec<u32>,
-        machine_of_part: Vec<u32>,
-    ) -> Self {
-        let mut hub_rank = vec![u32::MAX; n];
-        for (rank, &h) in partition.hubs.iter().enumerate() {
-            // audit:allow(lossy-id-cast): hub rank < n, within the
-            // loader-validated u32 node bound
-            hub_rank[h as usize] = rank as u32;
-        }
-        Self {
-            n,
-            cfg,
-            machines,
-            partition,
-            base,
-            hub_rank,
-            skeletons,
-            machine_of_hub,
-            machine_of_part,
-        }
-    }
-
-    /// Machine that stores node `u`'s base (partial) vector.
-    pub fn machine_of_node(&self, u: NodeId) -> u32 {
-        match self.partition.part_of[u as usize] {
-            Some(p) => self.machine_of_part[p as usize],
-            None => self.machine_of_hub[self.hub_rank[u as usize] as usize],
-        }
-    }
-
-    /// The vector machine `i` sends to the coordinator for query `u`
-    /// (Algorithm sketch in §3.1). Dense accumulation, sparsified once.
-    pub fn machine_vector(&self, u: NodeId, machine: u32) -> SparseVector {
-        self.machine_vector_preference(&[(u, 1.0)], machine)
-    }
-
-    /// Machine reply for a weighted preference-set query (linearity).
-    pub fn machine_vector_preference(
-        &self,
-        preference: &[(NodeId, f64)],
-        machine: u32,
-    ) -> SparseVector {
-        let mut scratch = Scratch::with_len(self.n);
-        self.machine_vector_preference_into(preference, machine, &mut scratch)
-    }
-
-    /// [`GpaIndex::machine_vector_preference`] accumulating into a
-    /// caller-owned [`Scratch`] — bit-identical output, but a fan-out
-    /// worker answering many queries pays the O(n) dense allocation once
-    /// instead of once per call.
-    pub fn machine_vector_preference_into(
-        &self,
-        preference: &[(NodeId, f64)],
-        machine: u32,
-        scratch: &mut Scratch,
-    ) -> SparseVector {
-        let alpha = self.cfg.alpha;
-        scratch.ensure(self.n);
-        let (dense, touched) = scratch.parts();
-
-        for &(u, w) in preference {
-            for (rank, &h) in self.partition.hubs.iter().enumerate() {
-                if self.machine_of_hub[rank] != machine {
-                    continue;
-                }
-                self.accumulate_hub_term(u, w, h, rank, alpha, dense, touched);
-            }
-            if self.machine_of_node(u) == machine {
-                self.base[u as usize].scatter_into(dense, touched, w);
-            }
-        }
-        scratch.harvest()
-    }
-
-    /// Exact PPV of `u`, reconstructed centrally (all machines' work in one
-    /// pass — what §6.2.9 calls the centralized setting).
-    pub fn query(&self, u: NodeId) -> SparseVector {
-        self.query_preference(&[(u, 1.0)])
-    }
-
-    /// Exact PPV of a weighted preference set (the paper's `P`), by the
-    /// Jeh–Widom linearity theorem.
-    pub fn query_preference(&self, preference: &[(NodeId, f64)]) -> SparseVector {
-        let alpha = self.cfg.alpha;
-        let mut dense = vec![0.0f64; self.n];
-        let mut touched: Vec<NodeId> = Vec::new();
-        for &(u, w) in preference {
-            for (rank, &h) in self.partition.hubs.iter().enumerate() {
-                self.accumulate_hub_term(u, w, h, rank, alpha, &mut dense, &mut touched);
-            }
-            self.base[u as usize].scatter_into(&mut dense, &mut touched, w);
-        }
-        harvest(dense, touched)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_hub_term(
-        &self,
-        u: NodeId,
-        weight: f64,
-        h: NodeId,
-        rank: usize,
-        alpha: f64,
-        dense: &mut [f64],
-        touched: &mut Vec<NodeId>,
-    ) {
-        let mut coef = self.skeletons[rank].get(u);
-        if h == u {
-            coef -= alpha;
-        }
-        if coef == 0.0 {
-            return;
-        }
-        // Strict partials: p_h(h) = α and no other hub entries, so this
-        // scatter writes S_u(h) at coordinate h (the exact PPV there) and
-        // Eq. 4's hub term everywhere else. See `jw::JwIndex::query`.
-        self.base[h as usize].scatter_into(dense, touched, weight * coef / alpha);
-    }
-
-    /// Bytes of precomputed state stored on each machine (the paper's
-    /// space-cost metric: maximum over machines, Figure 11).
-    pub fn storage_bytes_per_machine(&self) -> Vec<u64> {
-        let mut bytes = vec![0u64; self.machines];
-        for (rank, &h) in self.partition.hubs.iter().enumerate() {
-            let m = self.machine_of_hub[rank] as usize;
-            bytes[m] += self.base[h as usize].wire_bytes() + self.skeletons[rank].wire_bytes();
-        }
-        for (p, part) in self.partition.subgraphs.iter().enumerate() {
-            let m = self.machine_of_part[p] as usize;
-            for &v in part {
-                bytes[m] += self.base[v as usize].wire_bytes();
-            }
-        }
-        bytes
-    }
-}
-
-/// Sparsify a dense accumulator using its touch list.
-pub(crate) fn harvest(dense: Vec<f64>, mut touched: Vec<NodeId>) -> SparseVector {
-    touched.sort_unstable();
-    touched.dedup();
-    SparseVector::from_entries(
-        touched
-            .into_iter()
-            .filter_map(|v| {
-                let x = dense[v as usize];
-                (x != 0.0).then_some((v, x))
-            })
-            .collect(),
-    )
+/// Partition `g` flat, select hubs, and precompute all vectors (§5): the
+/// one-level [`HgpaIndex`] of [`Hierarchy::from_flat`], with per-machine
+/// offline seconds and the partitioning time in the report.
+pub fn build(g: &CsrGraph, cfg: &PprConfig, opts: &GpaBuildOptions) -> (HgpaIndex, OfflineReport) {
+    let t0 = Stopwatch::start();
+    let flat = flat_partition(g, opts.subgraphs, opts.cover, &opts.partition);
+    let hierarchy = Hierarchy::from_flat(&flat);
+    let partition_seconds = t0.elapsed_seconds();
+    let hopts = HgpaBuildOptions {
+        machines: opts.machines,
+        parallelism: opts.parallelism,
+        ..Default::default()
+    };
+    let (idx, mut report) = HgpaIndex::build_distributed_with_hierarchy(g, cfg, &hopts, hierarchy);
+    report.partition_seconds = partition_seconds;
+    (idx, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SparseVector;
     use ppr_graph::dense::dense_ppv;
     use ppr_graph::generators::{hierarchical_sbm, HsbmConfig};
 
@@ -491,7 +98,8 @@ mod tests {
     #[test]
     fn query_matches_dense_oracle() {
         let g = sample(200, 3);
-        let idx = GpaIndex::build(&g, &tight(), &GpaBuildOptions::default());
+        let (idx, _) = build(&g, &tight(), &GpaBuildOptions::default());
+        assert_eq!(idx.hierarchy().depth, 1);
         for u in [0u32, 33, 111, 199] {
             let exact = dense_ppv(&g, u, 0.15);
             let got = idx.query(u);
@@ -509,8 +117,8 @@ mod tests {
     #[test]
     fn hub_queries_match_too() {
         let g = sample(150, 9);
-        let idx = GpaIndex::build(&g, &tight(), &GpaBuildOptions::default());
-        let hub = idx.hubs().first().copied().expect("sample has hubs");
+        let (idx, _) = build(&g, &tight(), &GpaBuildOptions::default());
+        let hub = idx.hub_ids().first().copied().expect("sample has hubs");
         let exact = dense_ppv(&g, hub, 0.15);
         let got = idx.query(hub);
         for v in 0..150u32 {
@@ -525,7 +133,7 @@ mod tests {
             machines: 3,
             ..Default::default()
         };
-        let idx = GpaIndex::build(&g, &tight(), &opts);
+        let (idx, _) = build(&g, &tight(), &opts);
         for u in [7u32, 90] {
             let full = idx.query(u);
             let mut sum = SparseVector::new();
@@ -548,7 +156,8 @@ mod tests {
             machines: 4,
             ..Default::default()
         };
-        let idx = GpaIndex::build(&g, &tight(), &opts);
+        let (idx, report) = build(&g, &tight(), &opts);
+        assert!(report.partition_seconds > 0.0);
         let bytes = idx.storage_bytes_per_machine();
         assert_eq!(bytes.len(), 4);
         assert!(bytes.iter().all(|&b| b > 0), "{bytes:?}");
@@ -560,22 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_support_confined_to_subgraph() {
-        let g = sample(200, 3);
-        let idx = GpaIndex::build(&g, &tight(), &GpaBuildOptions::default());
-        for (p, part) in idx.partition.subgraphs.iter().enumerate() {
-            for &v in part {
-                for (w, _) in idx.base[v as usize].iter() {
-                    assert!(
-                        idx.partition.part_of[w as usize] == Some(p as u32),
-                        "partial of {v} (part {p}) leaks to {w}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn single_machine_single_part_degenerates_gracefully() {
         let g = sample(100, 2);
         let opts = GpaBuildOptions {
@@ -583,8 +176,8 @@ mod tests {
             machines: 1,
             ..Default::default()
         };
-        let idx = GpaIndex::build(&g, &tight(), &opts);
-        assert!(idx.hubs().is_empty());
+        let (idx, _) = build(&g, &tight(), &opts);
+        assert!(idx.hub_ids().is_empty());
         let exact = dense_ppv(&g, 42, 0.15);
         let got = idx.query(42);
         for v in 0..100u32 {

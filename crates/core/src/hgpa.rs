@@ -26,7 +26,6 @@
 //! is a single vector; the coordinator just sums (Theorem 4 communication
 //! bound O(s·|V|)).
 
-use crate::gpa::harvest;
 use crate::parallel::{run_timed, ParallelismMode};
 use crate::push::PushEngine;
 use crate::skeleton::SkeletonEngine;
@@ -367,7 +366,7 @@ impl HgpaIndex {
         for &(u, w) in preference {
             self.accumulate_query(u, w, None, &mut dense, &mut touched);
         }
-        harvest(dense, touched)
+        SparseVector::harvest_scratch(&mut dense, &mut touched)
     }
 
     /// The vector machine `machine` sends to the coordinator for query `u`
@@ -979,26 +978,6 @@ mod tests {
                 assert!(
                     (full.get(v) - dense[v as usize]).abs() < 1e-12,
                     "u {u} v {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn agrees_with_gpa() {
-        use crate::gpa::{GpaBuildOptions, GpaIndex};
-        let g = sample(180, 21);
-        let hgpa = HgpaIndex::build(&g, &tight(), &small_leaves());
-        let gpa = GpaIndex::build(&g, &tight(), &GpaBuildOptions::default());
-        for u in [0u32, 90, 179] {
-            let a = hgpa.query(u);
-            let b = gpa.query(u);
-            for v in 0..180u32 {
-                assert!(
-                    (a.get(v) - b.get(v)).abs() < 1e-5,
-                    "u {u} v {v}: {} vs {}",
-                    a.get(v),
-                    b.get(v)
                 );
             }
         }

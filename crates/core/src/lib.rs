@@ -17,7 +17,8 @@
 //!   §5.2 possible.
 //! * [`jw`] — PPV-JW (§2.3): the centralized brute-force decomposition the
 //!   distributed algorithms must agree with (Theorem 1).
-//! * [`gpa`] — the flat graph-partition algorithm (§3).
+//! * [`gpa`] — the flat graph-partition algorithm (§3), built as the
+//!   one-level case of [`hgpa`].
 //! * [`hgpa`] — the hierarchical, hub-distributed algorithm (§4),
 //!   including the `HGPA_ad` truncation variant of §6.2.9.
 //! * [`parallel`] — the [`ParallelismMode`] switch (shared with
@@ -26,8 +27,8 @@
 //! * [`codec`] — varint/delta/zigzag primitives, CRC32, and the
 //!   compressed PPV block encoding the storage tier is built on.
 //! * [`persist`] — the versioned, checksummed on-disk index format:
-//!   save/load for both [`gpa::GpaIndex`] and [`hgpa::HgpaIndex`], so
-//!   §5's precomputation is paid once and served from disk thereafter.
+//!   save/load for [`hgpa::HgpaIndex`] (GPA indexes included), so §5's
+//!   precomputation is paid once and served from disk thereafter.
 //!
 //! ## Semantics
 //!

@@ -2,9 +2,9 @@
 //! and (via re-export) the `ppr-cluster` fan-out.
 //!
 //! [`ParallelismMode`] started life in `ppr-cluster` (PR 4's online
-//! fan-out); it lives here now so the *offline* precomputation paths —
-//! [`crate::gpa::GpaIndex::build_distributed`] and
-//! [`crate::hgpa::HgpaIndex::build_distributed`] — can share the exact
+//! fan-out); it lives here now so the *offline* precomputation path —
+//! [`crate::hgpa::HgpaIndex::build_distributed_with_hierarchy`], which
+//! GPA's [`crate::gpa::build`] also goes through — can share the exact
 //! same switch without inverting the crate dependency (`ppr-cluster`
 //! depends on `ppr-core`). `ppr-cluster` re-exports it, so existing
 //! `ppr_cluster::ParallelismMode` imports keep working.

@@ -2,9 +2,10 @@
 //!
 //! The paper's §5 precomputation runs for hours (Figures 12/16); nobody
 //! recomputes it per process. This module makes built indexes durable
-//! artifacts: both [`GpaIndex`] and [`HgpaIndex`] save to (and load
-//! from) a self-contained binary format with no external serialization
-//! crates, so a serving process can **cold-start from disk** and answer
+//! artifacts: an [`HgpaIndex`] — a GPA index included, since GPA is the
+//! one-level HGPA ([`crate::gpa`]) — saves to (and loads from) a
+//! self-contained binary format with no external serialization crates,
+//! so a serving process can **cold-start from disk** and answer
 //! bit-identical queries without touching the builder.
 //!
 //! ## Layout (version 2)
@@ -12,7 +13,7 @@
 //! ```text
 //! offset 0   magic            b"PPRX"                      4 bytes
 //! offset 4   version          u32 LE  (= 2)                4 bytes
-//! offset 8   kind             u32 LE  (1 = GPA, 2 = HGPA)  4 bytes
+//! offset 8   kind             u32 LE  (= 2)                4 bytes
 //! offset 12  section count    u32 LE                       4 bytes
 //! offset 16  section table    count x { tag [u8;4], len u64 LE, crc32 u32 LE }
 //! then       header crc32     u32 LE over bytes [0, 16 + 16*count)
@@ -39,14 +40,16 @@
 //!
 //! Version-1 files (the pre-codec, uncompressed, HGPA-only layout) are
 //! no longer readable; the loader identifies them by their version field
-//! and reports a rebuild-and-re-save error.
+//! and reports a rebuild-and-re-save error. Likewise kind 1, the retired
+//! flat-partition layout (a `PART` section instead of `HIER`): GPA
+//! indexes are now saved as one-level HGPA files, and a kind-1 file gets
+//! a rebuild-and-re-save error.
 
 use crate::codec::{self, crc32, write_varint, Cursor};
-use crate::gpa::GpaIndex;
 use crate::hgpa::{HgpaBuildStats, HgpaIndex};
 use crate::{PprConfig, SparseVector};
 use ppr_graph::NodeId;
-use ppr_partition::{FlatPartition, Hierarchy, SubgraphNode};
+use ppr_partition::{Hierarchy, SubgraphNode};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"PPRX";
@@ -58,12 +61,13 @@ const MAX_SECTIONS: u32 = 32;
 /// vectors allocated by storage accounting).
 const MAX_MACHINES: u64 = 1 << 20;
 
+/// Kind word of the retired flat-partition (GPA) layout.
 const KIND_GPA: u32 = 1;
+/// Kind word of every file this build writes and reads.
 const KIND_HGPA: u32 = 2;
 
 // Section tags.
 const TAG_CFG: [u8; 4] = *b"CFG\0";
-const TAG_PART: [u8; 4] = *b"PART";
 const TAG_HIER: [u8; 4] = *b"HIER";
 const TAG_PLAC: [u8; 4] = *b"PLAC";
 const TAG_BASE: [u8; 4] = *b"BASE";
@@ -75,32 +79,6 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 // -------------------------------------------------------------- container
-
-/// Which index type a persisted file holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexKind {
-    /// A flat graph-partition index (§3).
-    Gpa,
-    /// A hierarchical index (§4).
-    Hgpa,
-}
-
-impl IndexKind {
-    fn code(self) -> u32 {
-        match self {
-            IndexKind::Gpa => KIND_GPA,
-            IndexKind::Hgpa => KIND_HGPA,
-        }
-    }
-
-    fn parse(code: u32) -> io::Result<Self> {
-        match code {
-            KIND_GPA => Ok(IndexKind::Gpa),
-            KIND_HGPA => Ok(IndexKind::Hgpa),
-            other => Err(bad(format!("unknown index kind {other}"))),
-        }
-    }
-}
 
 /// One section's location inside a persisted file, as listed by
 /// [`sections`] (tooling / test introspection).
@@ -123,18 +101,14 @@ struct SectionBuf {
 }
 
 /// Assemble and emit a complete file from its sections.
-fn write_container<W: Write>(
-    mut w: W,
-    kind: IndexKind,
-    sections: &[SectionBuf],
-) -> io::Result<()> {
+fn write_container<W: Write>(mut w: W, sections: &[SectionBuf]) -> io::Result<()> {
     if sections.len() > MAX_SECTIONS as usize {
         return Err(bad("too many sections to write"));
     }
     let mut header = Vec::with_capacity(16 + 16 * sections.len());
     header.extend_from_slice(MAGIC);
     header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    header.extend_from_slice(&kind.code().to_le_bytes());
+    header.extend_from_slice(&KIND_HGPA.to_le_bytes());
     // audit:allow(lossy-id-cast): bounded by the MAX_SECTIONS check above
     header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for s in sections {
@@ -151,9 +125,9 @@ fn write_container<W: Write>(
     w.flush()
 }
 
-/// Parse and fully verify a file's header, returning its kind and the
-/// CRC-verified section list. Shared by every loader and by [`sections`].
-fn parse_container(bytes: &[u8]) -> io::Result<(IndexKind, Vec<SectionInfo>)> {
+/// Parse and fully verify a file's header, returning the CRC-verified
+/// section list. Shared by the loader and by [`sections`].
+fn parse_container(bytes: &[u8]) -> io::Result<Vec<SectionInfo>> {
     let mut cur = Cursor::new(bytes);
     let magic = cur.take(4).map_err(|_| bad("file too short for magic"))?;
     if magic != MAGIC {
@@ -167,7 +141,16 @@ fn parse_container(bytes: &[u8]) -> io::Result<(IndexKind, Vec<SectionInfo>)> {
              rebuild the index and re-save)"
         )));
     }
-    let kind = IndexKind::parse(cur.u32().map_err(io::Error::from)?)?;
+    match cur.u32().map_err(io::Error::from)? {
+        KIND_HGPA => {}
+        KIND_GPA => {
+            return Err(bad(
+                "file holds a flat GPA index (kind 1), a layout this build no longer \
+                 reads; rebuild the index and re-save it",
+            ))
+        }
+        other => return Err(bad(format!("unknown index kind {other}"))),
+    }
     let count = cur.u32().map_err(io::Error::from)?;
     if count > MAX_SECTIONS {
         return Err(bad(format!("section count {count} exceeds sanity cap")));
@@ -227,7 +210,7 @@ fn parse_container(bytes: &[u8]) -> io::Result<(IndexKind, Vec<SectionInfo>)> {
             return Err(bad(format!("section {} checksum mismatch", tag_str(s.tag))));
         }
     }
-    Ok((kind, sections))
+    Ok(sections)
 }
 
 fn tag_str(tag: [u8; 4]) -> String {
@@ -246,7 +229,7 @@ fn tag_str(tag: [u8; 4]) -> String {
 /// CRC) without decoding any payload. For tooling and the corruption
 /// test suite; fails on exactly the containers the loaders reject.
 pub fn sections(bytes: &[u8]) -> io::Result<Vec<SectionInfo>> {
-    parse_container(bytes).map(|(_, s)| s)
+    parse_container(bytes)
 }
 
 /// Locate a required section's payload.
@@ -408,106 +391,6 @@ fn read_machine_list(
     Ok(out)
 }
 
-// ------------------------------------------------------------- GPA format
-
-/// Write a [`GpaIndex`] to `writer` in the sectioned format.
-pub fn save_gpa<W: Write>(index: &GpaIndex, writer: W) -> io::Result<()> {
-    let n = index.node_count();
-    let machines = index.machines();
-    let partition = index.partition();
-
-    let mut part = Vec::new();
-    write_varint(&mut part, partition.hubs.len() as u64);
-    codec::write_ids_delta(&mut part, &partition.hubs)?;
-    write_varint(&mut part, partition.subgraphs.len() as u64);
-    for members in &partition.subgraphs {
-        write_varint(&mut part, members.len() as u64);
-        codec::write_ids_delta(&mut part, members)?;
-    }
-
-    let mut plac = Vec::new();
-    write_machine_list(&mut plac, index.machine_of_hub());
-    write_machine_list(&mut plac, index.machine_of_part());
-
-    let sections = [
-        encode_cfg(index.config(), n, machines),
-        SectionBuf {
-            tag: TAG_PART,
-            payload: part,
-        },
-        SectionBuf {
-            tag: TAG_PLAC,
-            payload: plac,
-        },
-        encode_ppv_list(TAG_BASE, index.base_vectors())?,
-        encode_ppv_list(TAG_SKEL, index.skeleton_columns())?,
-    ];
-    write_container(writer, IndexKind::Gpa, &sections)
-}
-
-fn decode_gpa(bytes: &[u8], secs: &[SectionInfo]) -> io::Result<GpaIndex> {
-    let header = decode_cfg(bytes, secs)?;
-    let (n, machines) = (header.n, header.machines);
-    let bound = n as u64;
-
-    let mut cur = section(bytes, secs, TAG_PART)?;
-    let hub_count = cur.checked_len(1).map_err(io::Error::from)?;
-    let hubs = codec::read_ids_delta(&mut cur, hub_count, bound)?;
-    let part_count = cur.checked_len(1).map_err(io::Error::from)?;
-    let mut subgraphs = Vec::with_capacity(part_count);
-    for _ in 0..part_count {
-        let members = cur.checked_len(1).map_err(io::Error::from)?;
-        subgraphs.push(codec::read_ids_delta(&mut cur, members, bound)?);
-    }
-    finish(cur, TAG_PART)?;
-
-    // Derive `part_of` (and implicitly validate the partition: every
-    // node is a hub or a member of exactly one part).
-    let mut part_of: Vec<Option<u32>> = vec![None; n];
-    let mut assigned = vec![false; n];
-    for &h in &hubs {
-        assigned[h as usize] = true;
-    }
-    for (p, members) in subgraphs.iter().enumerate() {
-        let Ok(p32) = u32::try_from(p) else {
-            return Err(bad("part index exceeds u32"));
-        };
-        for &v in members {
-            if assigned[v as usize] {
-                return Err(bad(format!("node {v} assigned twice in partition")));
-            }
-            assigned[v as usize] = true;
-            part_of[v as usize] = Some(p32);
-        }
-    }
-    if let Some(v) = assigned.iter().position(|&a| !a) {
-        return Err(bad(format!("node {v} is neither hub nor part member")));
-    }
-
-    let mut cur = section(bytes, secs, TAG_PLAC)?;
-    let machine_of_hub = read_machine_list(&mut cur, hubs.len(), machines, "hub")?;
-    let machine_of_part = read_machine_list(&mut cur, subgraphs.len(), machines, "part")?;
-    finish(cur, TAG_PLAC)?;
-
-    let base = decode_ppv_list(bytes, secs, TAG_BASE, n, bound)?;
-    let skeletons = decode_ppv_list(bytes, secs, TAG_SKEL, hubs.len(), bound)?;
-
-    Ok(GpaIndex::from_persist_parts(
-        n,
-        header.cfg,
-        machines,
-        FlatPartition {
-            hubs,
-            subgraphs,
-            part_of,
-        },
-        base,
-        skeletons,
-        machine_of_hub,
-        machine_of_part,
-    ))
-}
-
 // ------------------------------------------------------------ HGPA format
 
 /// Write an [`HgpaIndex`] to `writer` in the sectioned format.
@@ -572,7 +455,7 @@ pub fn save_hgpa<W: Write>(index: &HgpaIndex, writer: W) -> io::Result<()> {
             payload: stat,
         },
     ];
-    write_container(writer, IndexKind::Hgpa, &sections)
+    write_container(writer, &sections)
 }
 
 fn decode_hierarchy(cur: &mut Cursor<'_>, n: usize) -> io::Result<Hierarchy> {
@@ -740,135 +623,34 @@ fn decode_hgpa(bytes: &[u8], secs: &[SectionInfo]) -> io::Result<HgpaIndex> {
 
 // ------------------------------------------------------------- public API
 
-/// Either index type, as loaded from a persisted file whose kind the
-/// caller did not know up front. Implements the cluster's
-/// `DistributedQueryable` (in `ppr-cluster`), so a serving front-end can
-/// cold-start from whichever artifact is on disk.
-#[derive(Debug)]
-pub enum PersistedIndex {
-    /// A loaded flat-partition index.
-    Gpa(GpaIndex),
-    /// A loaded hierarchical index.
-    Hgpa(HgpaIndex),
-}
+/// The index a persisted file holds — there is one index type, so this
+/// is [`HgpaIndex`]; the name stays for callers that use it.
+pub type PersistedIndex = HgpaIndex;
 
-impl PersistedIndex {
-    /// Which index type this is.
-    pub fn kind(&self) -> IndexKind {
-        match self {
-            PersistedIndex::Gpa(_) => IndexKind::Gpa,
-            PersistedIndex::Hgpa(_) => IndexKind::Hgpa,
-        }
-    }
-
-    /// Number of machines the index was built for.
-    pub fn machines(&self) -> usize {
-        match self {
-            PersistedIndex::Gpa(i) => i.machines(),
-            PersistedIndex::Hgpa(i) => i.machines(),
-        }
-    }
-
-    /// Number of graph nodes.
-    pub fn node_count(&self) -> usize {
-        match self {
-            PersistedIndex::Gpa(i) => i.node_count(),
-            PersistedIndex::Hgpa(i) => i.node_count(),
-        }
-    }
-
-    /// Total stored entries (space accounting).
-    pub fn stored_entries(&self) -> usize {
-        match self {
-            PersistedIndex::Gpa(i) => i.stored_entries(),
-            PersistedIndex::Hgpa(i) => i.stored_entries(),
-        }
-    }
-
-    /// PPR configuration the index was built with.
-    pub fn config(&self) -> &PprConfig {
-        match self {
-            PersistedIndex::Gpa(i) => i.config(),
-            PersistedIndex::Hgpa(i) => i.config(),
-        }
-    }
-
-    /// Exact PPV of `u`, reconstructed centrally.
-    pub fn query(&self, u: NodeId) -> SparseVector {
-        match self {
-            PersistedIndex::Gpa(i) => i.query(u),
-            PersistedIndex::Hgpa(i) => i.query(u),
-        }
-    }
-}
-
-fn read_all<R: Read>(mut reader: R) -> io::Result<Vec<u8>> {
+/// Read an index previously written by [`save_hgpa`].
+pub fn load_index<R: Read>(mut reader: R) -> io::Result<HgpaIndex> {
     // Allocation is bounded by what the stream actually yields, so a
     // lying length field inside the file cannot inflate this read.
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    Ok(bytes)
-}
-
-/// Read a [`GpaIndex`] previously written by [`save_gpa`].
-pub fn load_gpa<R: Read>(reader: R) -> io::Result<GpaIndex> {
-    let bytes = read_all(reader)?;
-    let (kind, secs) = parse_container(&bytes)?;
-    if kind != IndexKind::Gpa {
-        return Err(bad("file holds an HGPA index, not a GPA index (kind mismatch)"));
-    }
-    decode_gpa(&bytes, &secs)
-}
-
-/// Read an [`HgpaIndex`] previously written by [`save_hgpa`].
-pub fn load_hgpa<R: Read>(reader: R) -> io::Result<HgpaIndex> {
-    let bytes = read_all(reader)?;
-    let (kind, secs) = parse_container(&bytes)?;
-    if kind != IndexKind::Hgpa {
-        return Err(bad("file holds a GPA index, not an HGPA index (kind mismatch)"));
-    }
+    let secs = parse_container(&bytes)?;
     decode_hgpa(&bytes, &secs)
 }
 
-/// Read whichever index the file holds.
-pub fn load_index<R: Read>(reader: R) -> io::Result<PersistedIndex> {
-    let bytes = read_all(reader)?;
-    let (kind, secs) = parse_container(&bytes)?;
-    match kind {
-        IndexKind::Gpa => decode_gpa(&bytes, &secs).map(PersistedIndex::Gpa),
-        IndexKind::Hgpa => decode_hgpa(&bytes, &secs).map(PersistedIndex::Hgpa),
-    }
-}
-
-/// Convenience: save a GPA index to a filesystem path.
-pub fn save_gpa_file<P: AsRef<std::path::Path>>(index: &GpaIndex, path: P) -> io::Result<()> {
-    save_gpa(index, io::BufWriter::new(std::fs::File::create(path)?))
-}
-
-/// Convenience: save an HGPA index to a filesystem path.
+/// Convenience: save an index to a filesystem path.
 pub fn save_hgpa_file<P: AsRef<std::path::Path>>(index: &HgpaIndex, path: P) -> io::Result<()> {
     save_hgpa(index, io::BufWriter::new(std::fs::File::create(path)?))
 }
 
-/// Convenience: load a GPA index from a filesystem path.
-pub fn load_gpa_file<P: AsRef<std::path::Path>>(path: P) -> io::Result<GpaIndex> {
-    load_gpa(io::BufReader::new(std::fs::File::open(path)?))
-}
-
-/// Convenience: load an HGPA index from a filesystem path.
-pub fn load_hgpa_file<P: AsRef<std::path::Path>>(path: P) -> io::Result<HgpaIndex> {
-    load_hgpa(io::BufReader::new(std::fs::File::open(path)?))
-}
-
-/// Convenience: load whichever index a file holds.
-pub fn load_index_file<P: AsRef<std::path::Path>>(path: P) -> io::Result<PersistedIndex> {
+/// Convenience: load an index from a filesystem path.
+pub fn load_index_file<P: AsRef<std::path::Path>>(path: P) -> io::Result<HgpaIndex> {
     load_index(io::BufReader::new(std::fs::File::open(path)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpa::GpaBuildOptions;
+    use crate::gpa::{self, GpaBuildOptions};
     use crate::hgpa::HgpaBuildOptions;
     use ppr_graph::generators::{hierarchical_sbm, HsbmConfig};
 
@@ -893,8 +675,8 @@ mod tests {
         )
     }
 
-    fn sample_gpa() -> GpaIndex {
-        GpaIndex::build(
+    fn sample_gpa() -> HgpaIndex {
+        gpa::build(
             &sample_graph(),
             &PprConfig {
                 epsilon: 1e-7,
@@ -902,6 +684,7 @@ mod tests {
             },
             &GpaBuildOptions::default(),
         )
+        .0
     }
 
     #[test]
@@ -909,7 +692,7 @@ mod tests {
         let idx = sample_hgpa();
         let mut buf = Vec::new();
         save_hgpa(&idx, &mut buf).unwrap();
-        let loaded = load_hgpa(buf.as_slice()).unwrap();
+        let loaded = load_index(buf.as_slice()).unwrap();
         for u in [0u32, 42, 149] {
             assert_eq!(idx.query(u), loaded.query(u), "u {u}");
         }
@@ -920,39 +703,36 @@ mod tests {
     }
 
     #[test]
-    fn gpa_roundtrip_preserves_queries() {
+    fn one_level_roundtrip_keeps_the_hierarchy() {
         let idx = sample_gpa();
         let mut buf = Vec::new();
-        save_gpa(&idx, &mut buf).unwrap();
-        let loaded = load_gpa(buf.as_slice()).unwrap();
+        save_hgpa(&idx, &mut buf).unwrap();
+        let loaded = load_index(buf.as_slice()).unwrap();
+        assert_eq!(idx.hierarchy(), loaded.hierarchy());
         for u in [0u32, 42, 149] {
             assert_eq!(idx.query(u), loaded.query(u), "u {u}");
         }
-        assert_eq!(idx.hubs(), loaded.hubs());
+        assert_eq!(idx.hub_ids(), loaded.hub_ids());
         assert_eq!(idx.stored_entries(), loaded.stored_entries());
     }
 
     #[test]
-    fn load_index_detects_kind() {
+    fn retired_gpa_kind_asks_for_a_rebuild() {
         let mut buf = Vec::new();
-        save_gpa(&sample_gpa(), &mut buf).unwrap();
-        assert_eq!(load_index(buf.as_slice()).unwrap().kind(), IndexKind::Gpa);
-        let mut buf = Vec::new();
-        save_hgpa(&sample_hgpa(), &mut buf).unwrap();
-        assert_eq!(load_index(buf.as_slice()).unwrap().kind(), IndexKind::Hgpa);
-    }
-
-    #[test]
-    fn kind_mismatch_is_an_error() {
-        let mut buf = Vec::new();
-        save_gpa(&sample_gpa(), &mut buf).unwrap();
-        let err = load_hgpa(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("kind"), "{err}");
+        save_hgpa(&sample_gpa(), &mut buf).unwrap();
+        // Reseal a kind-1 header so only the kind word is wrong.
+        let header_len = 16 + 16 * sections(&buf).unwrap().len();
+        buf[8..12].copy_from_slice(&KIND_GPA.to_le_bytes());
+        let crc = crc32(&buf[..header_len]);
+        buf[header_len..header_len + 4].copy_from_slice(&crc.to_le_bytes());
+        let err = load_index(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("rebuild"), "{err}");
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let err = load_hgpa(&b"NOPE00000000"[..]).unwrap_err();
+        let err = load_index(&b"NOPE00000000"[..]).unwrap_err();
         assert!(err.to_string().contains("bad magic"));
     }
 
@@ -963,7 +743,7 @@ mod tests {
             buf.extend_from_slice(MAGIC);
             buf.extend_from_slice(&version.to_le_bytes());
             buf.extend_from_slice(&[0u8; 64]);
-            let err = load_hgpa(buf.as_slice()).unwrap_err();
+            let err = load_index(buf.as_slice()).unwrap_err();
             assert!(err.to_string().contains("version"), "{err}");
         }
     }
@@ -974,7 +754,7 @@ mod tests {
         let mut buf = Vec::new();
         save_hgpa(&idx, &mut buf).unwrap();
         for cut in [0usize, 3, 10, buf.len() / 2, buf.len() - 3] {
-            assert!(load_hgpa(&buf[..cut]).is_err(), "cut at {cut}");
+            assert!(load_index(&buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -985,7 +765,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("idx.pprx");
         save_hgpa_file(&idx, &path).unwrap();
-        let loaded = load_hgpa_file(&path).unwrap();
+        let loaded = load_index_file(&path).unwrap();
         assert_eq!(idx.query(7), loaded.query(7));
     }
 
@@ -994,7 +774,7 @@ mod tests {
         let idx = sample_hgpa();
         let mut buf = Vec::new();
         save_hgpa(&idx, &mut buf).unwrap();
-        let loaded = load_hgpa(buf.as_slice()).unwrap();
+        let loaded = load_index(buf.as_slice()).unwrap();
         for m in 0..idx.machines() as u32 {
             assert_eq!(idx.machine_vector(33, m), loaded.machine_vector(33, m));
         }

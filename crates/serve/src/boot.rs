@@ -1,19 +1,20 @@
 //! Cold-start: boot a serving stack from a persisted index artifact.
 //!
 //! The paper's split is precompute-once / serve-forever; this module is
-//! the serve-forever half. [`ColdStart`] loads whichever index artifact
-//! (GPA or HGPA) a path holds — the format is self-describing — and
+//! the serve-forever half. [`ColdStart`] loads the index artifact a path
+//! holds (a GPA index is the one-level HGPA, so there is one kind) and
 //! owns it, so a serving process needs neither the graph nor the
 //! builder: `ColdStart::from_path(..)?.server()` is a full
 //! [`PprServer`] answering queries bit-identical to one running over the
 //! freshly built in-memory index (pinned in `tests/persist_roundtrip.rs`).
 //!
 //! Everything here is `Err`-based: a truncated, corrupted, or
-//! wrong-kind artifact surfaces as an [`io::Error`] from the loader,
+//! retired-kind artifact surfaces as an [`io::Error`] from the loader,
 //! never a panic (the `serve-panic` audit rule applies to this crate).
 
 use crate::{DynamicPprServer, PprServer, ServeConfig};
-use ppr_core::persist::{self, PersistedIndex};
+use ppr_core::hgpa::HgpaIndex;
+use ppr_core::persist;
 use ppr_graph::CsrGraph;
 use std::io;
 use std::path::Path;
@@ -26,7 +27,7 @@ use std::path::Path;
 /// built from it.
 #[derive(Debug)]
 pub struct ColdStart {
-    index: PersistedIndex,
+    index: HgpaIndex,
     config: ServeConfig,
 }
 
@@ -43,12 +44,12 @@ impl ColdStart {
     }
 
     /// Wrap an already-loaded index (e.g. from an in-memory buffer).
-    pub fn from_index(index: PersistedIndex, config: ServeConfig) -> Self {
+    pub fn from_index(index: HgpaIndex, config: ServeConfig) -> Self {
         Self { index, config }
     }
 
     /// The loaded index.
-    pub fn index(&self) -> &PersistedIndex {
+    pub fn index(&self) -> &HgpaIndex {
         &self.index
     }
 
@@ -59,23 +60,21 @@ impl ColdStart {
 
     /// A batching/caching server over the loaded index (reader shards
     /// and parallelism as configured).
-    pub fn server(&self) -> PprServer<'_, PersistedIndex> {
+    pub fn server(&self) -> PprServer<'_, HgpaIndex> {
         PprServer::new(&self.index, self.config)
     }
 }
 
 impl DynamicPprServer {
-    /// Cold-start a dynamic (updatable) server from a persisted **HGPA**
-    /// artifact plus the graph it was built from. The incremental
-    /// updater maintains an HGPA index specifically, so a GPA artifact —
-    /// or an artifact whose node count disagrees with `graph` — is an
-    /// error, not a panic.
+    /// Cold-start a dynamic (updatable) server from a persisted index
+    /// artifact plus the graph it was built from. An artifact whose node
+    /// count disagrees with `graph` is an error, not a panic.
     pub fn from_persisted<P: AsRef<Path>>(
         path: P,
         graph: CsrGraph,
         config: ServeConfig,
     ) -> io::Result<Self> {
-        let index = persist::load_hgpa_file(path)?;
+        let index = persist::load_index_file(path)?;
         if index.node_count() != graph.node_count() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

@@ -137,7 +137,7 @@ pub fn run_from_env() -> io::Result<()> {
 /// # Errors
 /// See [`run_from_env`].
 pub fn run(config: &WorkerConfig) -> io::Result<()> {
-    let index = persist::load_hgpa_file(&config.index_path)?;
+    let index = persist::load_index_file(&config.index_path)?;
     let machine = config.machine;
     let stream = connect_with_retries(&config.addr)?;
     let mut fs = FramedStream::new(stream, config.io_deadline);

@@ -7,7 +7,7 @@
 //! ```
 
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
-use exact_ppr::core::persist::{load_hgpa_file, save_hgpa_file};
+use exact_ppr::core::persist::{load_index_file, save_hgpa_file};
 use exact_ppr::core::power::power_iteration;
 use exact_ppr::core::PprConfig;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
@@ -53,7 +53,7 @@ fn main() {
 
     // Day 1: a new process loads the index instead of rebuilding.
     let t = std::time::Instant::now();
-    let mut index = load_hgpa_file(&path).expect("reload index");
+    let mut index = load_index_file(&path).expect("reload index");
     println!("reloaded in {:.2?}", t.elapsed());
 
     // The graph evolves: three new edges arrive.

@@ -60,13 +60,10 @@ pub mod prelude {
         ResilienceConfig, SocketCluster, SocketConfig,
     };
     pub use ppr_core::{
-        gpa::{GpaBuildOptions, GpaIndex},
+        gpa::GpaBuildOptions,
         hgpa::{HgpaBuildOptions, HgpaIndex, QuerySession},
         incremental::{MaintenanceEngine, UpdateError, UpdateStats},
-        persist::{
-            load_gpa_file, load_hgpa_file, load_index_file, save_gpa_file, save_hgpa_file,
-            PersistedIndex,
-        },
+        persist::{load_index_file, save_hgpa_file},
         power::{global_pagerank, power_iteration, DanglingPolicy},
         sparse::SparseVector,
         PprConfig,

@@ -17,9 +17,10 @@ use exact_ppr::core::PprConfig;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use exact_ppr::graph::{CsrGraph, GraphBuilder, NodeId};
 use exact_ppr::partition::HierarchyConfig;
+use exact_ppr::core::gpa;
 use exact_ppr::prelude::{
-    Cluster, ClusterConfig, DynamicPprServer, EdgeUpdate, GpaBuildOptions, GpaIndex,
-    ParallelismMode, PprServer, Request, ServeConfig,
+    Cluster, ClusterConfig, DynamicPprServer, EdgeUpdate, GpaBuildOptions, ParallelismMode,
+    PprServer, Request, ServeConfig,
 };
 use exact_ppr::workload::{MixedEvent, MixedStream, MixedStreamConfig};
 use proptest::prelude::*;
@@ -86,14 +87,15 @@ fn threaded_cluster_rounds_equal_sequential_rounds() {
     let g = sample(230, 5);
     let cfg = PprConfig::default();
     let hgpa = HgpaIndex::build(&g, &cfg, &opts(4));
-    let gpa = GpaIndex::build(
+    let gpa = gpa::build(
         &g,
         &cfg,
         &GpaBuildOptions {
             machines: 5,
             ..Default::default()
         },
-    );
+    )
+    .0;
     let sequential = Cluster::with_default_network();
     for workers in [2usize, 4, 7] {
         let threaded = Cluster::new(ClusterConfig {

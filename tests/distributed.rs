@@ -3,7 +3,7 @@
 //! centralized queries — across machine counts and both indexes.
 
 use exact_ppr::cluster::{Cluster, ClusterConfig, NetworkModel};
-use exact_ppr::core::gpa::{GpaBuildOptions, GpaIndex};
+use exact_ppr::core::gpa::{self, GpaBuildOptions};
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use exact_ppr::core::PprConfig;
 use exact_ppr::workload::{query_nodes, Dataset};
@@ -71,7 +71,7 @@ fn theorem4_traffic_bound_holds() {
 #[test]
 fn gpa_cluster_agrees_too() {
     let g = Dataset::Email.generate_with_nodes(900);
-    let idx = GpaIndex::build(
+    let idx = gpa::build(
         &g,
         &cfg(),
         &GpaBuildOptions {
@@ -79,7 +79,8 @@ fn gpa_cluster_agrees_too() {
             machines: 4,
             ..Default::default()
         },
-    );
+    )
+    .0;
     let cluster = Cluster::new(ClusterConfig {
         machines: 4,
         network: NetworkModel::infinite(),

@@ -2,7 +2,7 @@
 //! fail loudly) on graphs real deployments encounter — tiny, empty-ish,
 //! star-shaped, self-loop-preprocessed, single-community.
 
-use exact_ppr::core::gpa::{GpaBuildOptions, GpaIndex};
+use exact_ppr::core::gpa::{self, GpaBuildOptions};
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use exact_ppr::core::power::{power_iteration, power_iteration_full, DanglingPolicy};
 use exact_ppr::core::PprConfig;
@@ -114,7 +114,7 @@ fn more_machines_than_meaningful_work() {
 #[test]
 fn gpa_with_more_parts_than_nodes() {
     let g = from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-    let idx = GpaIndex::build(
+    let idx = gpa::build(
         &g,
         &tight(),
         &GpaBuildOptions {
@@ -122,7 +122,8 @@ fn gpa_with_more_parts_than_nodes() {
             machines: 3,
             ..Default::default()
         },
-    );
+    )
+    .0;
     let oracle = dense_ppv(&g, 2, 0.15);
     let got = idx.query(2);
     for v in 0..5u32 {
@@ -152,7 +153,7 @@ fn persisted_index_survives_for_degenerate_graphs() {
     let idx = HgpaIndex::build(&g, &tight(), &HgpaBuildOptions::default());
     let mut buf = Vec::new();
     exact_ppr::core::persist::save_hgpa(&idx, &mut buf).unwrap();
-    let loaded = exact_ppr::core::persist::load_hgpa(buf.as_slice()).unwrap();
+    let loaded = exact_ppr::core::persist::load_index(buf.as_slice()).unwrap();
     assert_eq!(idx.query(0), loaded.query(0));
     assert_eq!(idx.query(1), loaded.query(1));
 }

@@ -3,7 +3,7 @@
 //! across graph shapes the paper's datasets exhibit — community structure,
 //! dangling nodes, high reciprocity, disconnected pieces.
 
-use exact_ppr::core::gpa::{GpaBuildOptions, GpaIndex};
+use exact_ppr::core::gpa::{self, GpaBuildOptions};
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use exact_ppr::core::jw::JwIndex;
 use exact_ppr::core::power::power_iteration;
@@ -35,8 +35,8 @@ fn check_all_algorithms(g: &CsrGraph, queries: &[u32], tol: f64) {
             ..Default::default()
         },
     );
-    let gpa = GpaIndex::build(g, &cfg, &GpaBuildOptions::default());
-    let jw = JwIndex::build(g, gpa.hubs(), &cfg);
+    let gpa = gpa::build(g, &cfg, &GpaBuildOptions::default()).0;
+    let jw = JwIndex::build(g, gpa.hub_ids(), &cfg);
 
     for &u in queries {
         let oracle = dense_ppv(g, u, ALPHA);
@@ -175,8 +175,8 @@ fn preference_set_queries_are_first_class() {
     let oracle = exact_ppr::graph::dense::dense_ppv_preference(&g, &pref, ALPHA);
 
     let hgpa = HgpaIndex::build(&g, &cfg, &HgpaBuildOptions::default());
-    let gpa = GpaIndex::build(&g, &cfg, &GpaBuildOptions::default());
-    let jw = JwIndex::build(&g, gpa.hubs(), &cfg);
+    let gpa = gpa::build(&g, &cfg, &GpaBuildOptions::default()).0;
+    let jw = JwIndex::build(&g, gpa.hub_ids(), &cfg);
     let from_hgpa = hgpa.query_preference(&pref);
     let from_gpa = gpa.query_preference(&pref);
     let from_jw = jw.query_preference(&pref);
@@ -222,7 +222,7 @@ fn epsilon_contract_gpa_and_hgpa_match_power_iteration() {
             epsilon,
             ..Default::default()
         };
-        let gpa = GpaIndex::build(&g, &cfg, &GpaBuildOptions::default());
+        let gpa = gpa::build(&g, &cfg, &GpaBuildOptions::default()).0;
         let hgpa = HgpaIndex::build(&g, &cfg, &HgpaBuildOptions::default());
         let bound = 2.0 * epsilon / cfg.alpha;
         for q in [0u32, 40, 80, 159] {

@@ -5,7 +5,9 @@
 //!
 //! * random mixed streams of queries, edge batches, and **node churn**
 //!   (adds wired into the live graph, removals with incident-edge drops)
-//!   driven through [`DynamicPprServer::apply_delta`], with every served
+//!   driven through [`DynamicPprServer::apply_delta`] — over an HGPA
+//!   index on even seeds and a GPA (one-level HGPA) index on odd ones —
+//!   with every served
 //!   answer compared bit for bit against a fresh cluster fan-out and the
 //!   final maintained index against a from-scratch recomputation of every
 //!   vector on the final graph (over the maintained hierarchy — the
@@ -23,7 +25,7 @@ use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use exact_ppr::core::PprConfig;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use exact_ppr::graph::{apply_delta, delta, CsrGraph, EdgeUpdate, GraphBuilder, NodeId};
-use exact_ppr::partition::HierarchyConfig;
+use exact_ppr::partition::{flat_partition, CoverAlgorithm, Hierarchy, HierarchyConfig};
 use exact_ppr::prelude::{Cluster, DynamicPprServer, MaintenanceEngine, ServeConfig};
 use exact_ppr::workload::{MixedEvent, MixedStream, MixedStreamConfig};
 use proptest::prelude::*;
@@ -137,16 +139,36 @@ fn separation_holds(idx: &HgpaIndex, g: &CsrGraph) -> Result<(), String> {
     Ok(())
 }
 
-/// Drive one randomized churn scenario from `g0`; every served answer is
-/// checked bit for bit, and the final index against a scratch
-/// recomputation. Returns what was driven, for calibration.
-fn churn_scenario(g0: CsrGraph, seed: u64, events: usize) -> Result<Driven, String> {
-    let machines = 3;
-    let cfg = PprConfig::default();
-    let mut server = DynamicPprServer::build(
+const MACHINES: usize = 3;
+
+/// The scenario's starting index over `g`: HGPA's recursive hierarchy on
+/// even seeds, GPA's one-level hierarchy of a flat partition on odd ones.
+fn start_index(g: &CsrGraph, seed: u64) -> HgpaIndex {
+    let opts = opts(MACHINES, 12);
+    let hierarchy = if seed.is_multiple_of(2) {
+        Hierarchy::build(g, &opts.hierarchy)
+    } else {
+        let parts = 2 + (seed / 2 % 4) as usize;
+        let flat = flat_partition(g, parts, CoverAlgorithm::KonigExact, &Default::default());
+        Hierarchy::from_flat(&flat)
+    };
+    HgpaIndex::build_with_hierarchy(g, &PprConfig::default(), &opts, hierarchy)
+}
+
+/// Drive one randomized churn scenario from `g0` and its starting
+/// `index`; every served answer is checked bit for bit, and the final
+/// index against a scratch recomputation. Returns what was driven, for
+/// calibration.
+fn churn_scenario(
+    g0: CsrGraph,
+    index: HgpaIndex,
+    seed: u64,
+    events: usize,
+) -> Result<Driven, String> {
+    let cfg = *index.config();
+    let mut server = DynamicPprServer::from_index(
         g0.clone(),
-        &cfg,
-        &opts(machines, 12),
+        index,
         ServeConfig {
             max_batch: 4,
             ..Default::default()
@@ -232,7 +254,7 @@ fn churn_scenario(g0: CsrGraph, seed: u64, events: usize) -> Result<Driven, Stri
     let rebuilt = HgpaIndex::build_with_hierarchy(
         server.graph(),
         &cfg,
-        &opts(machines, 12),
+        &opts(MACHINES, 12),
         server.index().hierarchy().clone(),
     );
     for u in 0..server.graph().node_count() as NodeId {
@@ -256,7 +278,8 @@ proptest! {
 
     #[test]
     fn served_answers_survive_node_churn_streams(seed in 0u64..10_000) {
-        let d = churn_scenario(sample(64, seed), seed, 18)?;
+        let g = sample(64, seed);
+        let d = churn_scenario(g.clone(), start_index(&g, seed), seed, 18)?;
         prop_assert!(d.queries + d.edge_batches + d.churn_batches == 18);
     }
 
@@ -324,7 +347,8 @@ fn churn_scenario_exercises_all_event_kinds() {
     // One deterministic, bigger run — and proof the scenario actually
     // mixes reads, edge writes, and node churn rather than vacuously
     // passing.
-    let d = churn_scenario(sample(120, 1234), 1234, 60).unwrap();
+    let g = sample(120, 1234);
+    let d = churn_scenario(g.clone(), start_index(&g, 1234), 1234, 60).unwrap();
     assert!(d.queries >= 20, "only {} queries", d.queries);
     assert!(d.edge_batches >= 4, "only {} edge batches", d.edge_batches);
     assert!(d.churn_batches >= 8, "only {} churn batches", d.churn_batches);
@@ -338,7 +362,8 @@ fn read_sets_skip_vectors_where_reachability_cannot() {
     // reachability predicates this suite used to run under recomputed
     // every vector of every dirty subgraph; the read-set predicate must
     // still skip some, in every such batch.
-    let d = churn_scenario(with_rings(&sample(120, 1234)), 1234, 60).unwrap();
+    let g = with_rings(&sample(120, 1234));
+    let d = churn_scenario(g.clone(), start_index(&g, 1234), 1234, 60).unwrap();
     assert!(d.connected_batches >= 6, "only {} batches", d.connected_batches);
     assert_eq!(d.connected_batches_that_skipped, d.connected_batches, "{d:?}");
 }

@@ -2,7 +2,7 @@
 //! **bit-identical** to the [`ParallelismMode::Sequential`] build — same
 //! base vectors, same skeleton columns, same machine placement, same
 //! build statistics — on any graph, machine count, and worker count, for
-//! both GPA and HGPA. The builds differ only in *when* each work item
+//! both GPA (the one-level HGPA) and HGPA. The builds differ only in *when* each work item
 //! runs (and hence in the wall-clock / modeled timing fields of
 //! [`OfflineReport`], which this suite checks for shape, not value).
 //!
@@ -12,14 +12,14 @@
 //! [`UpdateStats`](exact_ppr::core::incremental::UpdateStats) field
 //! exactly as the sequential one does, batch after batch.
 
-use exact_ppr::core::gpa::{GpaBuildOptions, GpaIndex};
+use exact_ppr::core::gpa::{self, GpaBuildOptions};
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex, OfflineReport};
 use exact_ppr::core::incremental::MaintenanceEngine;
 use exact_ppr::core::{ParallelismMode, PprConfig};
 use exact_ppr::graph::csr::from_edges;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use exact_ppr::graph::{apply_delta, CsrGraph, GraphDelta};
-use exact_ppr::partition::{flat_partition, Hierarchy, HierarchyConfig};
+use exact_ppr::partition::{flat_partition, HierarchyConfig};
 use exact_ppr::workload::{MixedEvent, MixedStream, MixedStreamConfig};
 use proptest::prelude::*;
 
@@ -40,68 +40,21 @@ fn report_shape_ok(report: &OfflineReport, machines: usize) {
     assert!(report.wall_seconds > 0.0);
 }
 
-/// GPA: sequential vs threaded builds agree on every stored artifact.
-fn gpa_differential(
-    g: &CsrGraph,
-    cfg: &PprConfig,
+/// Sequential vs threaded builds agree on every stored artifact.
+fn differential(
+    build: impl Fn(ParallelismMode) -> (HgpaIndex, OfflineReport),
     machines: usize,
     workers: usize,
 ) -> Result<(), String> {
-    let opts = GpaBuildOptions {
-        machines,
-        ..Default::default()
-    };
-    let (seq, seq_report) = GpaIndex::build_distributed(g, cfg, &opts);
-    let threaded_opts = GpaBuildOptions {
-        parallelism: ParallelismMode::Threads(workers),
-        ..opts
-    };
-    let (thr, thr_report) = GpaIndex::build_distributed(g, cfg, &threaded_opts);
-
-    if seq.base_vectors() != thr.base_vectors() {
-        return Err("base vectors diverged".into());
-    }
-    if seq.skeleton_columns() != thr.skeleton_columns() {
-        return Err("skeleton columns diverged".into());
-    }
-    if seq.hubs() != thr.hubs() {
-        return Err("hub sets diverged".into());
-    }
-    if seq.machine_of_hub() != thr.machine_of_hub()
-        || seq.machine_of_part() != thr.machine_of_part()
-    {
-        return Err("machine placement diverged".into());
-    }
-    if seq.stored_entries() != thr.stored_entries() {
-        return Err("stored entry counts diverged".into());
-    }
+    let (seq, seq_report) = build(ParallelismMode::Sequential);
+    let (thr, thr_report) = build(ParallelismMode::Threads(workers));
+    same_index(&seq, &thr)?;
     report_shape_ok(&seq_report, machines);
     report_shape_ok(&thr_report, machines);
     Ok(())
 }
 
-/// HGPA: sequential vs threaded builds agree on every stored artifact.
-fn hgpa_differential(
-    g: &CsrGraph,
-    cfg: &PprConfig,
-    machines: usize,
-    workers: usize,
-) -> Result<(), String> {
-    let opts = HgpaBuildOptions {
-        machines,
-        hierarchy: HierarchyConfig {
-            max_leaf_size: 16,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let (seq, seq_report) = HgpaIndex::build_distributed(g, cfg, &opts);
-    let threaded_opts = HgpaBuildOptions {
-        parallelism: ParallelismMode::Threads(workers),
-        ..opts
-    };
-    let (thr, thr_report) = HgpaIndex::build_distributed(g, cfg, &threaded_opts);
-
+fn same_index(seq: &HgpaIndex, thr: &HgpaIndex) -> Result<(), String> {
     if seq.base_vectors() != thr.base_vectors() {
         return Err("base vectors diverged".into());
     }
@@ -123,9 +76,47 @@ fn hgpa_differential(
             thr.stats()
         ));
     }
-    report_shape_ok(&seq_report, machines);
-    report_shape_ok(&thr_report, machines);
     Ok(())
+}
+
+/// GPA: sequential vs threaded builds agree on every stored artifact.
+fn gpa_differential(
+    g: &CsrGraph,
+    cfg: &PprConfig,
+    machines: usize,
+    workers: usize,
+) -> Result<(), String> {
+    let build = |parallelism| {
+        let opts = GpaBuildOptions {
+            machines,
+            parallelism,
+            ..Default::default()
+        };
+        gpa::build(g, cfg, &opts)
+    };
+    differential(build, machines, workers)
+}
+
+/// HGPA: sequential vs threaded builds agree on every stored artifact.
+fn hgpa_differential(
+    g: &CsrGraph,
+    cfg: &PprConfig,
+    machines: usize,
+    workers: usize,
+) -> Result<(), String> {
+    let build = |parallelism| {
+        let opts = HgpaBuildOptions {
+            machines,
+            hierarchy: HierarchyConfig {
+                max_leaf_size: 16,
+                ..Default::default()
+            },
+            parallelism,
+            ..Default::default()
+        };
+        HgpaIndex::build_distributed(g, cfg, &opts)
+    };
+    differential(build, machines, workers)
 }
 
 proptest! {
@@ -175,9 +166,11 @@ proptest! {
     }
 }
 
-/// GPA (§3) is HGPA (§4) over [`Hierarchy::from_flat`]: on the same flat
-/// partition the two builds store the same hubs, placements and vectors
-/// and answer every machine reply and every query bit for bit.
+/// GPA (§3) built as the one-level HGPA keeps §3.1's layout: hubs in
+/// flat-partition order with hub rank `i` on machine `i % k`, every
+/// member of part `p` on machine `p % k` (empty parts included in the
+/// count), each member's base vector confined to its own part
+/// (Theorem 2), and the same index in every [`ParallelismMode`].
 fn one_level_differential(
     nodes: usize,
     seed: u64,
@@ -201,49 +194,46 @@ fn one_level_differential(
         parallelism,
         ..Default::default()
     };
-    let gpa = GpaIndex::build(&g, &cfg, &opts);
+    let (idx, report) = gpa::build(&g, &cfg, &opts);
+    report_shape_ok(&report, machines);
     let flat = flat_partition(&g, parts, opts.cover, &opts.partition);
-    let hopts = HgpaBuildOptions {
-        machines,
-        parallelism,
-        ..Default::default()
-    };
-    let (hgpa, _) =
-        HgpaIndex::build_distributed_with_hierarchy(&g, &cfg, &hopts, Hierarchy::from_flat(&flat));
 
-    if gpa.hubs() != hgpa.hub_ids() {
-        return Err("hub ids diverged".into());
+    if idx.hierarchy().depth != 1 || idx.hub_ids() != flat.hubs {
+        return Err("not the one-level hierarchy of the flat partition".into());
     }
-    if gpa.machine_of_hub() != hgpa.machine_of_hub() {
-        return Err("hub placement diverged".into());
+    for (rank, &h) in idx.hub_ids().iter().enumerate() {
+        let m = (rank % machines) as u32;
+        if idx.machine_of_hub()[rank] != m || idx.machine_of_base()[h as usize] != m {
+            return Err(format!("hub rank {rank} is not on machine {m}"));
+        }
     }
-    let gpa_base: Vec<u32> = (0..nodes as u32).map(|u| gpa.machine_of_node(u)).collect();
-    if gpa_base != hgpa.machine_of_base() {
-        return Err("base placement diverged".into());
-    }
-    if gpa.base_vectors() != hgpa.base_vectors() {
-        return Err("base vectors diverged".into());
-    }
-    if gpa.skeleton_columns() != hgpa.skeleton_columns() {
-        return Err("skeleton columns diverged".into());
-    }
-    if gpa.stored_entries() != hgpa.stored_entries() {
-        return Err("stored entries diverged".into());
-    }
-    if gpa.storage_bytes_per_machine() != hgpa.storage_bytes_per_machine() {
-        return Err("per-machine space diverged".into());
-    }
-    for u in 0..nodes as u32 {
-        for m in 0..machines as u32 {
-            if gpa.machine_vector(u, m) != hgpa.machine_vector(u, m) {
-                return Err(format!("machine {m}'s reply for {u} diverged"));
+    for (p, part) in flat.subgraphs.iter().enumerate() {
+        for &v in part {
+            if idx.machine_of_base()[v as usize] as usize != p % machines {
+                return Err(format!("member {v} of part {p} is off machine {}", p % machines));
+            }
+            if let Some((w, _)) = idx.base_vectors()[v as usize]
+                .iter()
+                .find(|&(w, _)| flat.part_of[w as usize] != Some(p as u32))
+            {
+                return Err(format!("base vector of {v} (part {p}) leaks to {w}"));
             }
         }
-        if gpa.query(u) != hgpa.query(u) {
-            return Err(format!("query {u} diverged"));
-        }
     }
-    Ok(())
+
+    let other = match parallelism {
+        ParallelismMode::Sequential => ParallelismMode::Threads(3),
+        ParallelismMode::Threads(_) => ParallelismMode::Sequential,
+    };
+    let (twin, _) = gpa::build(
+        &g,
+        &cfg,
+        &GpaBuildOptions {
+            parallelism: other,
+            ..opts
+        },
+    );
+    same_index(&idx, &twin)
 }
 
 /// Drive one random stream of edge and node-churn batches through a

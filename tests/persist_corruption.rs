@@ -13,11 +13,9 @@
 //! reject it.
 
 use exact_ppr::core::codec::crc32;
-use exact_ppr::core::gpa::{GpaBuildOptions, GpaIndex};
+use exact_ppr::core::gpa::{self, GpaBuildOptions};
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
-use exact_ppr::core::persist::{
-    load_gpa, load_hgpa, load_index, save_gpa, save_hgpa, sections,
-};
+use exact_ppr::core::persist::{load_index, save_hgpa, sections};
 use exact_ppr::core::PprConfig;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
 use proptest::prelude::*;
@@ -31,8 +29,10 @@ fn sample_files() -> (Vec<u8>, Vec<u8>) {
         29,
     );
     let cfg = PprConfig::default();
+    // GPA (the one-level HGPA) and a deeper HGPA: the same format, two
+    // hierarchy shapes.
     let mut gpa_buf = Vec::new();
-    save_gpa(&GpaIndex::build(&g, &cfg, &GpaBuildOptions::default()), &mut gpa_buf).unwrap();
+    save_hgpa(&gpa::build(&g, &cfg, &GpaBuildOptions::default()).0, &mut gpa_buf).unwrap();
     let mut hgpa_buf = Vec::new();
     save_hgpa(
         &HgpaIndex::build(&g, &cfg, &HgpaBuildOptions::default()),
@@ -64,23 +64,18 @@ fn truncation_always_errs() {
 }
 
 /// Any single flipped bit is caught by a checksum (or the magic/length
-/// checks) — swept across every byte of the file, all loaders.
+/// checks) — swept across every byte of the file.
 #[test]
 fn single_byte_corruption_always_errs() {
     let (gpa, hgpa) = sample_files();
-    type Rejects = fn(&[u8]) -> bool;
-    let cases: [(&Vec<u8>, Rejects); 2] = [
-        (&gpa, |b| load_gpa(b).is_err()),
-        (&hgpa, |b| load_hgpa(b).is_err()),
-    ];
-    for (buf, load) in cases {
+    for buf in [&gpa, &hgpa] {
         for pos in 0..buf.len() {
             let mut bad = buf.clone();
             bad[pos] ^= 0x40;
-            assert!(load(&bad), "flip at byte {pos}/{} must not load", buf.len());
             assert!(
                 load_index(bad.as_slice()).is_err(),
-                "load_index must reject flip at byte {pos}"
+                "flip at byte {pos}/{} must not load",
+                buf.len()
             );
         }
     }
@@ -98,7 +93,7 @@ fn zero_fill_always_errs() {
             *b = 0;
         }
         assert!(
-            load_hgpa(bad.as_slice()).is_err(),
+            load_index(bad.as_slice()).is_err(),
             "zero-fill [{start}, +{len}) must not load"
         );
     }
@@ -123,7 +118,7 @@ fn version_bump_errs_with_version_message() {
     let (_, hgpa) = sample_files();
     for version in [0u32, 1, 3, u32::MAX] {
         let bad = patch_header_u32(&hgpa, 4, version);
-        let err = load_hgpa(bad.as_slice()).unwrap_err();
+        let err = load_index(bad.as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("version"),
             "version {version}: {err}"
@@ -131,23 +126,22 @@ fn version_bump_errs_with_version_message() {
     }
 }
 
-/// A re-sealed kind field still cannot smuggle HGPA sections through the
-/// GPA decoder (and vice versa), and unknown kinds are refused outright.
+/// A re-sealed kind field other than 2 is refused outright: unknown
+/// kinds, and kind 1 (the retired flat-partition layout) with a
+/// rebuild-and-re-save message.
 #[test]
 fn kind_forgery_errs() {
     let (gpa, hgpa) = sample_files();
-    // Unknown kind code.
-    let bad = patch_header_u32(&hgpa, 8, 7);
-    assert!(load_index(bad.as_slice()).is_err());
-    // HGPA bytes relabeled as GPA: the GPA decoder finds no PART section.
-    let bad = patch_header_u32(&hgpa, 8, 1);
-    assert!(load_index(bad.as_slice()).is_err());
-    // GPA bytes relabeled as HGPA.
-    let bad = patch_header_u32(&gpa, 8, 2);
-    assert!(load_index(bad.as_slice()).is_err());
-    // Honest kind mismatch (no forgery): typed loaders refuse early.
-    assert!(load_gpa(hgpa.as_slice()).is_err());
-    assert!(load_hgpa(gpa.as_slice()).is_err());
+    for buf in [&gpa, &hgpa] {
+        for kind in [0u32, 3, 7, u32::MAX] {
+            let bad = patch_header_u32(buf, 8, kind);
+            let err = load_index(bad.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("kind"), "kind {kind}: {err}");
+        }
+        let bad = patch_header_u32(buf, 8, 1);
+        let err = load_index(bad.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("rebuild"), "{err}");
+    }
 }
 
 /// Forge a section's payload bytes and re-seal both CRCs, so only
@@ -184,12 +178,12 @@ fn lying_vector_count_is_rejected_cheaply() {
             let n = lead.len().min(payload.len());
             payload[..n].copy_from_slice(&lead[..n]);
         });
-        assert!(load_hgpa(bad.as_slice()).is_err());
+        assert!(load_index(bad.as_slice()).is_err());
         let bad = forge_section(&gpa, b"BASE", |payload| {
             let n = lead.len().min(payload.len());
             payload[..n].copy_from_slice(&lead[..n]);
         });
-        assert!(load_gpa(bad.as_slice()).is_err());
+        assert!(load_index(bad.as_slice()).is_err());
     }
 }
 
@@ -205,7 +199,7 @@ fn lying_section_length_is_rejected_cheaply() {
     bad[16 + 4..16 + 12].copy_from_slice(&(1u64 << 50).to_le_bytes());
     let crc = crc32(&bad[..header_len]);
     bad[header_len..header_len + 4].copy_from_slice(&crc.to_le_bytes());
-    assert!(load_hgpa(bad.as_slice()).is_err());
+    assert!(load_index(bad.as_slice()).is_err());
 }
 
 /// Structural forgeries inside a re-sealed container: out-of-range
@@ -218,20 +212,20 @@ fn resealed_structural_forgeries_err() {
     let bad = forge_section(&hgpa, b"CFG\0", |p| {
         p[..8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
     });
-    assert!(load_hgpa(bad.as_slice()).is_err());
+    assert!(load_index(bad.as_slice()).is_err());
     // CFG: machine count zero (breaks every placement bound).
     let bad = forge_section(&hgpa, b"CFG\0", |p| {
         let len = p.len();
         p[len - 1] = 0;
     });
-    assert!(load_hgpa(bad.as_slice()).is_err());
+    assert!(load_index(bad.as_slice()).is_err());
     // PLAC: saturate everything — hub ids / machine ids blow their bounds.
     let bad = forge_section(&hgpa, b"PLAC", |p| {
         for b in p.iter_mut() {
             *b = 0x7F;
         }
     });
-    assert!(load_hgpa(bad.as_slice()).is_err());
+    assert!(load_index(bad.as_slice()).is_err());
 }
 
 /// Junk that is not an index file at all: wrong magic, empty input,
@@ -249,7 +243,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     // Randomized single-byte corruption over random positions: always
-    // `Err`, never a panic, for every loader entry point.
+    // `Err`, never a panic.
     #[test]
     fn random_byte_corruption_never_panics(pos in 0usize..100_000, delta in 1u8..=255) {
         let (gpa, hgpa) = sample_files();
@@ -258,8 +252,6 @@ proptest! {
             let p = pos % bad.len();
             bad[p] ^= delta;
             prop_assert!(load_index(bad.as_slice()).is_err(), "byte {p} xor {delta:#x}");
-            prop_assert!(load_gpa(bad.as_slice()).is_err());
-            prop_assert!(load_hgpa(bad.as_slice()).is_err());
         }
     }
 }

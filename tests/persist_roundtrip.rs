@@ -1,23 +1,21 @@
 //! Storage-tier exactness: save → load must be **bit-identical** for
-//! both index types — every persisted artifact (base vectors, skeleton
-//! columns, partition/hierarchy structure, machine placement, build
-//! stats) survives the round-trip unchanged on any graph — and a server
+//! HGPA and for GPA (the one-level HGPA) — every persisted artifact (base
+//! vectors, skeleton columns, hierarchy structure, machine placement,
+//! build stats) survives the round-trip unchanged on any graph — and a server
 //! **cold-started** from a persisted artifact must answer any request
 //! stream bit-identically to one serving the freshly built in-memory
 //! index. This is the storage twin of `tests/parallel_build.rs`: the
 //! paper's precompute-once / serve-forever split only holds if the
 //! "once" and the "forever" see exactly the same numbers.
 
-use exact_ppr::core::gpa::{GpaBuildOptions, GpaIndex};
+use exact_ppr::core::gpa::{self, GpaBuildOptions};
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
-use exact_ppr::core::persist::{
-    load_gpa, load_hgpa, load_index, save_gpa, save_hgpa, IndexKind, PersistedIndex,
-};
+use exact_ppr::core::persist::{load_index, save_hgpa};
 use exact_ppr::core::sparse::SparseVector;
 use exact_ppr::core::PprConfig;
 use exact_ppr::graph::csr::from_edges;
 use exact_ppr::graph::generators::{hierarchical_sbm, HsbmConfig};
-use exact_ppr::graph::{CsrGraph, NodeId};
+use exact_ppr::graph::CsrGraph;
 use exact_ppr::partition::HierarchyConfig;
 use exact_ppr::serve::{ColdStart, PprServer, Request, Response, ServeConfig};
 use proptest::prelude::*;
@@ -87,41 +85,11 @@ fn requests_from(n: usize, raw: &[(u32, u32, u8)]) -> Vec<Request> {
 }
 
 fn gpa_roundtrip(g: &CsrGraph, machines: usize) -> Result<(), String> {
-    let built = GpaIndex::build(
-        g,
-        &tight(),
-        &GpaBuildOptions {
-            machines,
-            ..Default::default()
-        },
-    );
-    let mut buf = Vec::new();
-    save_gpa(&built, &mut buf).map_err(|e| format!("save: {e}"))?;
-    let loaded = load_gpa(buf.as_slice()).map_err(|e| format!("load: {e}"))?;
-
-    if loaded.partition() != built.partition() {
-        return Err("partition diverged".into());
-    }
-    if !all_bits_equal(loaded.base_vectors(), built.base_vectors()) {
-        return Err("base vectors not bit-identical".into());
-    }
-    if !all_bits_equal(loaded.skeleton_columns(), built.skeleton_columns()) {
-        return Err("skeleton columns not bit-identical".into());
-    }
-    if loaded.machine_of_hub() != built.machine_of_hub()
-        || loaded.machine_of_part() != built.machine_of_part()
-    {
-        return Err("machine placement diverged".into());
-    }
-    if loaded.config() != built.config() || loaded.machines() != built.machines() {
-        return Err("config diverged".into());
-    }
-    for u in 0..g.node_count() as NodeId {
-        if loaded.machine_of_node(u) != built.machine_of_node(u) {
-            return Err(format!("machine_of_node({u}) diverged"));
-        }
-    }
-    Ok(())
+    let opts = GpaBuildOptions {
+        machines,
+        ..Default::default()
+    };
+    roundtrip(&gpa::build(g, &tight(), &opts).0)
 }
 
 fn hgpa_roundtrip(g: &CsrGraph, machines: usize) -> Result<(), String> {
@@ -137,9 +105,13 @@ fn hgpa_roundtrip(g: &CsrGraph, machines: usize) -> Result<(), String> {
             ..Default::default()
         },
     );
+    roundtrip(&built)
+}
+
+fn roundtrip(built: &HgpaIndex) -> Result<(), String> {
     let mut buf = Vec::new();
-    save_hgpa(&built, &mut buf).map_err(|e| format!("save: {e}"))?;
-    let loaded = load_hgpa(buf.as_slice()).map_err(|e| format!("load: {e}"))?;
+    save_hgpa(built, &mut buf).map_err(|e| format!("save: {e}"))?;
+    let loaded = load_index(buf.as_slice()).map_err(|e| format!("load: {e}"))?;
 
     if loaded.hierarchy() != built.hierarchy() {
         return Err("hierarchy diverged".into());
@@ -172,9 +144,9 @@ fn hgpa_roundtrip(g: &CsrGraph, machines: usize) -> Result<(), String> {
 }
 
 /// Cold-started serving must be bit-identical to in-memory serving over
-/// the same request stream, for a persisted index of either kind.
+/// the same request stream, for a persisted GPA or HGPA index.
 fn cold_start_matches(
-    persisted: PersistedIndex,
+    persisted: HgpaIndex,
     requests: &[Request],
     in_memory: Vec<Response>,
 ) -> Result<(), String> {
@@ -214,15 +186,15 @@ proptest! {
         g in arb_graph(),
         raw in proptest::collection::vec((0u32..1000, 0u32..1000, 0u8..10), 1..40),
     ) {
-        let built = GpaIndex::build(&g, &tight(), &GpaBuildOptions::default());
+        let built = gpa::build(&g, &tight(), &GpaBuildOptions::default()).0;
         let requests = requests_from(g.node_count(), &raw);
         let mut mem_server = PprServer::new(&built, ServeConfig::default());
         let in_memory = mem_server.run_batch(&requests).responses;
 
         let mut buf = Vec::new();
-        save_gpa(&built, &mut buf).expect("save");
+        save_hgpa(&built, &mut buf).expect("save");
         let persisted = load_index(buf.as_slice()).expect("load");
-        prop_assert_eq!(persisted.kind(), IndexKind::Gpa);
+        prop_assert_eq!(persisted.hierarchy().depth, 1);
         if let Err(e) = cold_start_matches(persisted, &requests, in_memory) {
             prop_assert!(false, "{e}");
         }
@@ -241,7 +213,6 @@ proptest! {
         let mut buf = Vec::new();
         save_hgpa(&built, &mut buf).expect("save");
         let persisted = load_index(buf.as_slice()).expect("load");
-        prop_assert_eq!(persisted.kind(), IndexKind::Hgpa);
         if let Err(e) = cold_start_matches(persisted, &requests, in_memory) {
             prop_assert!(false, "{e}");
         }
@@ -265,9 +236,9 @@ fn file_cold_start_on_community_graph() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let hgpa = HgpaIndex::build(&g, &cfg, &HgpaBuildOptions::default());
-    let gpa = GpaIndex::build(&g, &cfg, &GpaBuildOptions::default());
+    let gpa = gpa::build(&g, &cfg, &GpaBuildOptions::default()).0;
     exact_ppr::core::persist::save_hgpa_file(&hgpa, dir.join("h.pprx")).unwrap();
-    exact_ppr::core::persist::save_gpa_file(&gpa, dir.join("g.pprx")).unwrap();
+    exact_ppr::core::persist::save_hgpa_file(&gpa, dir.join("g.pprx")).unwrap();
 
     // Served answers go through the cluster fan-out (per-machine partial
     // sums), so the in-memory reference must be the same server type, not
@@ -294,7 +265,7 @@ fn file_cold_start_on_community_graph() {
     }
 }
 
-/// A dynamic (updatable) server cold-starts from an HGPA artifact and
+/// A dynamic (updatable) server cold-starts from an HGPA or GPA artifact and
 /// continues serving + updating from there.
 #[test]
 fn dynamic_server_cold_starts_from_hgpa_artifact() {
@@ -324,9 +295,25 @@ fn dynamic_server_cold_starts_from_hgpa_artifact() {
     let out = server.run_batch(&[Request::Ppv(5)]);
     assert!(responses_bits_equal(&out.responses[0], &in_memory[0]));
 
-    // A GPA artifact is the wrong kind for the dynamic server: Err, not panic.
-    let gpa = GpaIndex::build(&g, &cfg, &GpaBuildOptions::default());
+    // A GPA artifact is a one-level HGPA artifact: it cold-starts an
+    // updatable server just the same.
+    let gpa = gpa::build(&g, &cfg, &GpaBuildOptions::default()).0;
     let gpa_path = dir.join("g.pprx");
-    exact_ppr::core::persist::save_gpa_file(&gpa, &gpa_path).unwrap();
-    assert!(DynamicPprServer::from_persisted(&gpa_path, g, ServeConfig::default()).is_err());
+    exact_ppr::core::persist::save_hgpa_file(&gpa, &gpa_path).unwrap();
+    let mut mem_server = DynamicPprServer::from_index(g.clone(), gpa, ServeConfig::default());
+    let in_memory = mem_server.run_batch(&[Request::Ppv(5)]).responses;
+    let mut server =
+        DynamicPprServer::from_persisted(&gpa_path, g.clone(), ServeConfig::default()).unwrap();
+    let out = server.run_batch(&[Request::Ppv(5)]);
+    assert!(responses_bits_equal(&out.responses[0], &in_memory[0]));
+
+    // An artifact built for another graph is an Err, not a panic.
+    let other = hierarchical_sbm(
+        &HsbmConfig {
+            nodes: 120,
+            ..Default::default()
+        },
+        13,
+    );
+    assert!(DynamicPprServer::from_persisted(&gpa_path, other, ServeConfig::default()).is_err());
 }

@@ -8,7 +8,7 @@
 //! * eviction under a tiny cache never affects results.
 
 use exact_ppr::cluster::Cluster;
-use exact_ppr::core::gpa::{GpaBuildOptions, GpaIndex};
+use exact_ppr::core::gpa::{self, GpaBuildOptions};
 use exact_ppr::core::hgpa::{HgpaBuildOptions, HgpaIndex};
 use exact_ppr::core::sparse::SparseVector;
 use exact_ppr::core::PprConfig;
@@ -84,14 +84,15 @@ fn cached_and_fresh_results_bit_identical() {
 fn server_matches_dense_oracle_hgpa_and_gpa() {
     let g = sample(200, 7);
     let h = hgpa(&g, 4);
-    let gp = GpaIndex::build(
+    let gp = gpa::build(
         &g,
         &tight(),
         &GpaBuildOptions {
             machines: 3,
             ..Default::default()
         },
-    );
+    )
+    .0;
     let mut hs = PprServer::new(&h, ServeConfig::default());
     let mut gs = PprServer::new(&gp, ServeConfig::default());
     for u in [0u32, 99, 199] {
