@@ -68,7 +68,11 @@ fn artifact_matches(
 /// index matches the requested graph/config; otherwise build fresh (and
 /// save back when a directory is configured). Never panics on a bad
 /// artifact — a corrupt file is a cache miss, not a crash.
-pub fn load_or_build_hgpa(g: &CsrGraph, cfg: &PprConfig, machines: usize) -> (HgpaIndex, Provenance) {
+pub fn load_or_build_hgpa(
+    g: &CsrGraph,
+    cfg: &PprConfig,
+    machines: usize,
+) -> (HgpaIndex, Provenance) {
     load_or_build(g, cfg, machines, HGPA_FILE, || {
         HgpaIndex::build(g, cfg, &default_hgpa_opts(machines))
     })
@@ -95,7 +99,16 @@ fn load_or_build(
     if let Some(dir) = &dir {
         let path = dir.join(file);
         match persist::load_index_file(&path) {
-            Ok(idx) if artifact_matches(idx.node_count(), idx.machines(), idx.config(), g, machines, cfg) => {
+            Ok(idx)
+                if artifact_matches(
+                    idx.node_count(),
+                    idx.machines(),
+                    idx.config(),
+                    g,
+                    machines,
+                    cfg,
+                ) =>
+            {
                 println!("serve: cold-started from {}", path.display());
                 return (idx, Provenance::Loaded);
             }

@@ -424,7 +424,8 @@ pub fn run_offline(g: &CsrGraph, cfg: &PprConfig, threads: &[usize]) -> Baseline
         let loaded = loaded.expect("TIMING_REPS >= 1");
         assert_eq!(loaded.stored_entries(), idx.stored_entries(), "{algo} load drifted");
         for u in [0, g.node_count() / 2, g.node_count() - 1] {
-            assert_eq!(idx.query(node_id(u)), loaded.query(node_id(u)), "{algo} PPV drifted at {u}");
+            let u = node_id(u);
+            assert_eq!(idx.query(u), loaded.query(u), "{algo} PPV drifted at {u}");
         }
         report.push(format!("{algo}_save_seconds"), save_s, "s", Gate::Info);
         report.push(format!("{algo}_load_seconds"), load_s, "s", Gate::Wall);
