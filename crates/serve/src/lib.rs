@@ -50,8 +50,8 @@
 //!   round onto real worker processes ([`worker`]).
 //!
 //! Serving can **cold-start from disk**: [`ColdStart`] loads a persisted
-//! index artifact (`ppr_core::persist`, either kind — the format is
-//! self-describing) and owns it, so a serving process skips the offline
+//! index artifact (`ppr_core::persist`; GPA and HGPA indexes share one
+//! format) and owns it, so a serving process skips the offline
 //! build entirely and still answers bit-identically to one serving the
 //! freshly built index (pinned in `tests/persist_roundtrip.rs`).
 //!

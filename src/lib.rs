@@ -17,7 +17,7 @@
 //!   byte-accurate communication accounting, deterministic fault injection,
 //!   and retry/hedging at the fan-out boundary.
 //! * [`serve`] — the query-serving layer: request batching, a
-//!   byte-accounted LRU PPV cache, exact top-k over either index, and
+//!   byte-accounted LRU PPV cache, exact top-k over the index, and
 //!   admission control with graceful degradation to bounded-precision
 //!   answers under overload or machine failure.
 //! * [`baselines`] — Pregel-like and Blogel-like BSP engines, a
