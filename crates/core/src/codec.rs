@@ -21,6 +21,30 @@
 //!   the sorted-distinct invariant the query kernels rely on;
 //! * every on-disk section carries a [`crc32`] checksum (CRC-32/IEEE),
 //!   verified before any decoding starts.
+//!
+//! ## Bulk loops, same checks
+//!
+//! These functions sit under every socket round (worker reply encode,
+//! coordinator decode) and every snapshot save and cold start, so they
+//! run in bulk loops that keep every check above:
+//!
+//! * **CRC:** [`crc32`] and [`crc32_tagged`] share one slicing-by-16
+//!   table CRC — sixteen table lookups fold in a 16-byte block, and the
+//!   tail goes byte at a time. Same CRC-32/IEEE values as the classic
+//!   byte-at-a-time loop (kept in the tests as the reference), safe Rust,
+//!   16 KiB of compile-time tables.
+//! * **Varints:** [`write_varint`] and [`Cursor::varint`] take a
+//!   one-byte fast path for values below 128 — most id gaps — and fall
+//!   back to the full LEB128 loop, overflow checks included, otherwise.
+//! * **PPV blocks:** [`write_ppv`] streams the ids straight into the gap
+//!   encoder and writes the values in one pass; [`read_ppv`] validates
+//!   the id chain as it reads (no zero gap, no overflow, every id below
+//!   the bound), reads the values in one `chunks_exact(8)` pass, and
+//!   keeps the entries in read order — already strictly increasing, so
+//!   there is no re-sort. The length is still validated with
+//!   [`Cursor::checked_len`] before anything is allocated. The tests pin
+//!   both functions against per-entry reference implementations, on
+//!   valid and on corrupted input.
 
 use crate::SparseVector;
 use ppr_graph::NodeId;
@@ -64,11 +88,15 @@ fn err<T>(message: impl Into<String>) -> Result<T> {
 
 // ------------------------------------------------------------------ CRC32
 
-/// CRC-32/IEEE lookup table (polynomial 0xEDB88320, reflected).
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-16 CRC-32/IEEE tables (polynomial 0xEDB88320, reflected).
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC register after byte `b` is followed by `k` zero bytes, so
+/// one 16-byte block folds in with sixteen independent lookups. 16 KiB,
+/// built at compile time.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -81,19 +109,56 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Advance the (pre-inverted) CRC register `c` over `bytes`: sixteen
+/// bytes per step through the slicing tables, then byte at a time for
+/// the tail. Same register values as the byte-at-a-time loop.
+fn crc_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let [c0, c1, c2, c3] = c.to_le_bytes();
+        c = t[15][usize::from(c0 ^ b[0])]
+            ^ t[14][usize::from(c1 ^ b[1])]
+            ^ t[13][usize::from(c2 ^ b[2])]
+            ^ t[12][usize::from(c3 ^ b[3])]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][usize::from(c.to_le_bytes()[0] ^ b)] ^ (c >> 8);
+    }
+    c
 }
 
 /// CRC-32/IEEE of `bytes` (the zlib/`cksum -o3` polynomial).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    !crc_update(!0, bytes)
 }
 
 /// CRC-32/IEEE of the virtual message `tag || bytes`, without
@@ -102,18 +167,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// mismatch — not a reinterpretation of the payload under another frame
 /// type.
 pub fn crc32_tagged(tag: u8, bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    c = CRC_TABLE[((c ^ u32::from(tag)) & 0xFF) as usize] ^ (c >> 8);
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    !crc_update(crc_update(!0, &[tag]), bytes)
 }
 
 // ----------------------------------------------------------------- varint
 
 /// Append `x` as LEB128 (7 bits per byte, high bit = continuation).
+#[inline]
 pub fn write_varint(buf: &mut Vec<u8>, mut x: u64) {
+    if x < 0x80 {
+        buf.push(x as u8);
+        return;
+    }
     loop {
         // audit:allow(lossy-id-cast): masked to the low 7 bits, fits u8
         let byte = (x & 0x7F) as u8;
@@ -209,8 +274,20 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consume a LEB128 varint (at most 10 bytes; the final byte of a
-    /// maximal encoding may only contribute the low bit).
+    /// maximal encoding may only contribute the low bit). A value below
+    /// 128 — most delta gaps — takes the one-byte fast path.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64> {
+        match self.bytes.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.varint_multibyte(),
+        }
+    }
+
+    fn varint_multibyte(&mut self) -> Result<u64> {
         let mut x = 0u64;
         let mut shift = 0u32;
         loop {
@@ -252,50 +329,49 @@ impl<'a> Cursor<'a> {
 /// Append a strictly increasing id sequence as first-id + varint gaps.
 /// Rejects unsorted or duplicated ids — the caller's sorted-distinct
 /// invariant is enforced at the encoding boundary, not assumed.
-pub fn write_ids_delta(buf: &mut Vec<u8>, ids: &[NodeId]) -> Result<()> {
+pub fn write_ids_delta(buf: &mut Vec<u8>, ids: impl IntoIterator<Item = NodeId>) -> Result<()> {
     let mut prev: Option<NodeId> = None;
-    for &id in ids {
-        match prev {
-            None => write_varint(buf, u64::from(id)),
-            Some(p) => {
-                if id <= p {
-                    return err(format!(
-                        "non-monotone id sequence: {id} follows {p}"
-                    ));
-                }
-                write_varint(buf, u64::from(id - p));
-            }
-        }
+    for id in ids {
+        let gap = match prev {
+            None => id,
+            Some(p) if id > p => id - p,
+            Some(p) => return err(format!("non-monotone id sequence: {id} follows {p}")),
+        };
+        write_varint(buf, u64::from(gap));
         prev = Some(id);
     }
     Ok(())
+}
+
+/// Read the next id of a delta chain — the first id raw, each later one
+/// as a non-zero gap from `prev` — rejecting a duplicate, an overflow,
+/// or an id at or past `bound`.
+#[inline]
+fn read_delta_id(cur: &mut Cursor<'_>, prev: Option<NodeId>, bound: u64) -> Result<NodeId> {
+    let v = cur.varint()?;
+    let id = match prev {
+        None => v,
+        Some(_) if v == 0 => return err("zero delta in id sequence (duplicate id)"),
+        Some(p) => match u64::from(p).checked_add(v) {
+            Some(id) => id,
+            None => return err("id delta overflows u64"),
+        },
+    };
+    if id >= bound {
+        return err(format!("id {id} out of bounds (node count {bound})"));
+    }
+    NodeId::try_from(id).map_err(|_| CodecError::new(format!("id {id} exceeds NodeId range")))
 }
 
 /// Decode `count` delta-varint ids, enforcing strict monotonicity and
 /// `id < bound` throughout. Inverse of [`write_ids_delta`].
 pub fn read_ids_delta(cur: &mut Cursor<'_>, count: usize, bound: u64) -> Result<Vec<NodeId>> {
     let mut ids = Vec::with_capacity(count);
-    let mut acc = 0u64;
-    for i in 0..count {
-        let v = cur.varint()?;
-        if i == 0 {
-            acc = v;
-        } else {
-            if v == 0 {
-                return err("zero delta in id sequence (duplicate id)");
-            }
-            acc = match acc.checked_add(v) {
-                Some(a) => a,
-                None => return err("id delta overflows u64"),
-            };
-        }
-        if acc >= bound {
-            return err(format!("id {acc} out of bounds (node count {bound})"));
-        }
-        match NodeId::try_from(acc) {
-            Ok(id) => ids.push(id),
-            Err(_) => return err(format!("id {acc} exceeds NodeId range")),
-        }
+    let mut prev = None;
+    for _ in 0..count {
+        let id = read_delta_id(cur, prev, bound)?;
+        ids.push(id);
+        prev = Some(id);
     }
     Ok(ids)
 }
@@ -306,26 +382,43 @@ pub fn read_ids_delta(cur: &mut Cursor<'_>, count: usize, bound: u64) -> Result<
 /// bits per entry. Ids must be strictly increasing (the
 /// [`SparseVector`] invariant); violations are reported, not trusted.
 pub fn write_ppv(buf: &mut Vec<u8>, v: &SparseVector) -> Result<()> {
-    write_varint(buf, v.nnz() as u64);
-    let ids: Vec<NodeId> = v.iter().map(|(id, _)| id).collect();
-    write_ids_delta(buf, &ids)?;
-    for (_, x) in v.iter() {
-        buf.extend_from_slice(&x.to_bits().to_le_bytes());
+    let nnz = v.nnz();
+    write_varint(buf, nnz as u64);
+    // One id byte and eight value bytes per entry at least.
+    buf.reserve(9 * nnz);
+    write_ids_delta(buf, v.iter().map(|(id, _)| id))?;
+    let values_at = buf.len();
+    buf.resize(values_at + 8 * nnz, 0);
+    for (out, (_, x)) in buf[values_at..].chunks_exact_mut(8).zip(v.iter()) {
+        out.copy_from_slice(&x.to_bits().to_le_bytes());
     }
     Ok(())
 }
 
 /// Decode a PPV block written by [`write_ppv`]. Entries come back with
 /// the exact bit patterns that went in; `bound` caps the id space.
+///
+/// The id chain is checked as it is read (no zero gap, no overflow,
+/// every id below `bound`), so the entries are already strictly
+/// increasing and are kept in read order without a re-sort.
 pub fn read_ppv(cur: &mut Cursor<'_>, bound: u64) -> Result<SparseVector> {
     // Each entry costs >= 1 id byte + 8 magnitude bytes.
     let nnz = cur.checked_len(9)?;
-    let ids = read_ids_delta(cur, nnz, bound)?;
-    let mut entries = Vec::with_capacity(nnz);
-    for id in ids {
-        entries.push((id, cur.f64_bits()?));
+    let mut entries: Vec<(NodeId, f64)> = Vec::with_capacity(nnz);
+    let mut prev = None;
+    for _ in 0..nnz {
+        let id = read_delta_id(cur, prev, bound)?;
+        entries.push((id, 0.0));
+        prev = Some(id);
     }
-    Ok(SparseVector::from_entries(entries))
+    // `nnz <= remaining / 9`, so the product cannot overflow.
+    let values = cur.take(8 * nnz)?;
+    for (e, b) in entries.iter_mut().zip(values.chunks_exact(8)) {
+        e.1 = f64::from_bits(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]));
+    }
+    Ok(SparseVector::from_sorted_entries(entries))
 }
 
 #[cfg(test)]
@@ -393,7 +486,7 @@ mod tests {
     fn delta_empty_and_single() {
         for ids in [vec![], vec![0u32], vec![u32::MAX - 1]] {
             let mut buf = Vec::new();
-            write_ids_delta(&mut buf, &ids).unwrap();
+            write_ids_delta(&mut buf, ids.iter().copied()).unwrap();
             let mut cur = Cursor::new(&buf);
             let got = read_ids_delta(&mut cur, ids.len(), u64::from(u32::MAX)).unwrap();
             assert_eq!(got, ids);
@@ -403,9 +496,9 @@ mod tests {
     #[test]
     fn delta_rejects_non_monotone_on_encode() {
         let mut buf = Vec::new();
-        assert!(write_ids_delta(&mut buf, &[3, 3]).is_err(), "duplicate");
+        assert!(write_ids_delta(&mut buf, [3, 3]).is_err(), "duplicate");
         let mut buf = Vec::new();
-        assert!(write_ids_delta(&mut buf, &[5, 2]).is_err(), "descending");
+        assert!(write_ids_delta(&mut buf, [5, 2]).is_err(), "descending");
     }
 
     #[test]
@@ -461,6 +554,171 @@ mod tests {
         assert!(read_ppv(&mut Cursor::new(&buf), u64::MAX).is_err());
     }
 
+    /// Byte-at-a-time CRC-32/IEEE: the reference [`crc32`] and
+    /// [`crc32_tagged`] are pinned against.
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        const TABLE: [u32; 256] = {
+            let mut table = [0u32; 256];
+            let mut i = 0;
+            while i < 256 {
+                let mut c = i as u32;
+                let mut bit = 0;
+                while bit < 8 {
+                    c = if c & 1 == 1 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                    bit += 1;
+                }
+                table[i] = c;
+                i += 1;
+            }
+            table
+        };
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Per-entry PPV block encoder, the reference for [`write_ppv`]: a
+    /// temporary id `Vec`, a gap loop, and one append per value.
+    fn reference_write_ppv(buf: &mut Vec<u8>, v: &SparseVector) -> Result<()> {
+        write_varint(buf, v.nnz() as u64);
+        let ids: Vec<NodeId> = v.iter().map(|(id, _)| id).collect();
+        let mut prev: Option<NodeId> = None;
+        for &id in &ids {
+            match prev {
+                None => write_varint(buf, u64::from(id)),
+                Some(p) => {
+                    if id <= p {
+                        return err(format!("non-monotone id sequence: {id} follows {p}"));
+                    }
+                    write_varint(buf, u64::from(id - p));
+                }
+            }
+            prev = Some(id);
+        }
+        for (_, x) in v.iter() {
+            buf.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        Ok(())
+    }
+
+    /// Per-entry PPV block decoder, the reference for [`read_ppv`]: ids
+    /// into a temporary `Vec`, one bounds-checked read per value, then a
+    /// sort.
+    fn reference_read_ppv(cur: &mut Cursor<'_>, bound: u64) -> Result<SparseVector> {
+        let nnz = cur.checked_len(9)?;
+        let mut ids = Vec::with_capacity(nnz);
+        let mut acc = 0u64;
+        for i in 0..nnz {
+            let v = cur.varint()?;
+            if i == 0 {
+                acc = v;
+            } else {
+                if v == 0 {
+                    return err("zero delta in id sequence (duplicate id)");
+                }
+                acc = match acc.checked_add(v) {
+                    Some(a) => a,
+                    None => return err("id delta overflows u64"),
+                };
+            }
+            if acc >= bound {
+                return err(format!("id {acc} out of bounds (node count {bound})"));
+            }
+            match NodeId::try_from(acc) {
+                Ok(id) => ids.push(id),
+                Err(_) => return err(format!("id {acc} exceeds NodeId range")),
+            }
+        }
+        let mut entries = Vec::with_capacity(nnz);
+        for id in ids {
+            entries.push((id, cur.f64_bits()?));
+        }
+        Ok(SparseVector::from_entries(entries))
+    }
+
+    fn bits(v: &SparseVector) -> Vec<(u32, u64)> {
+        v.iter().map(|(i, x)| (i, x.to_bits())).collect()
+    }
+
+    /// SplitMix64: the corruption tests derive their flips from one seed.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A valid block mixing one-byte gaps (a dense cluster) with
+    /// multi-byte gaps (ids spread over the whole `u32` range).
+    fn mixed_block(dense_ids: Vec<u32>, far_ids: Vec<u32>, values: Vec<u64>) -> SparseVector {
+        let mut ids: Vec<u32> = dense_ids.into_iter().chain(far_ids).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        SparseVector::from_entries(
+            ids.into_iter()
+                .zip(values.into_iter().cycle())
+                .map(|(id, bits)| (id, f64::from_bits(bits)))
+                .collect(),
+        )
+    }
+
+    /// Decode `bytes` with both decoders: they must agree on `Err`, and
+    /// on the entry bits and the bytes consumed otherwise.
+    fn decoders_agree(bytes: &[u8], bound: u64) -> std::result::Result<(), String> {
+        let (mut a, mut b) = (Cursor::new(bytes), Cursor::new(bytes));
+        match (reference_read_ppv(&mut a, bound), read_ppv(&mut b, bound)) {
+            (Ok(x), Ok(y)) => {
+                if bits(&x) != bits(&y) || a.position() != b.position() {
+                    return Err(format!("decoders disagree on {bytes:?}"));
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (x, y) => {
+                return Err(format!(
+                    "reference {:?} vs bulk {:?} on {bytes:?} (bound {bound})",
+                    x.is_ok(),
+                    y.is_ok()
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn bulk_decoder_keeps_every_check() {
+        let block = |items: &[u64]| {
+            let mut buf = Vec::new();
+            for &x in items {
+                write_varint(&mut buf, x);
+            }
+            buf
+        };
+        let values = [0u8; 16];
+        let cases: Vec<(Vec<u8>, u64)> = vec![
+            // zero gap (duplicate id)
+            ([block(&[2, 4, 0]), values.to_vec()].concat(), 100),
+            // id at the bound
+            ([block(&[1, 100]), values[..8].to_vec()].concat(), 100),
+            // accumulated id past the NodeId range
+            ([block(&[2, u64::from(u32::MAX), 1]), values.to_vec()].concat(), u64::MAX),
+            // delta chain overflowing u64
+            ([block(&[2, u64::MAX, u64::MAX]), values.to_vec()].concat(), u64::MAX),
+            // values truncated by one byte
+            ([block(&[2, 1, 1]), values[..15].to_vec()].concat(), 100),
+        ];
+        for (bytes, bound) in cases {
+            assert!(read_ppv(&mut Cursor::new(&bytes), bound).is_err(), "{bytes:?}");
+            decoders_agree(&bytes, bound).unwrap();
+        }
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard CRC-32/IEEE check values.
@@ -490,11 +748,89 @@ mod tests {
             ids.sort_unstable();
             ids.dedup();
             let mut buf = Vec::new();
-            write_ids_delta(&mut buf, &ids).unwrap();
+            write_ids_delta(&mut buf, ids.iter().copied()).unwrap();
             let mut cur = Cursor::new(&buf);
             let got = read_ids_delta(&mut cur, ids.len(), 1_000_000).unwrap();
             prop_assert_eq!(got, ids);
             prop_assert!(cur.is_empty());
+        }
+
+        #[test]
+        fn crc32_equals_byte_at_a_time_reference(
+            buf in proptest::collection::vec(0u8..=255, 16..4_112),
+            len in 0usize..4_096,
+            tag in 0u8..=255,
+        ) {
+            // Every start offset 0..16, so the 16-byte blocks fall at every
+            // alignment and every tail length is exercised.
+            let len = len.min(buf.len() - 16);
+            for offset in 0..16 {
+                let bytes = &buf[offset..offset + len];
+                prop_assert_eq!(crc32(bytes), reference_crc32(bytes));
+                let tagged: Vec<u8> = std::iter::once(tag).chain(bytes.iter().copied()).collect();
+                prop_assert_eq!(crc32_tagged(tag, bytes), crc32(&tagged));
+            }
+        }
+
+        #[test]
+        fn bulk_ppv_codec_matches_reference(
+            dense_ids in proptest::collection::vec(0u32..400, 0..150),
+            far_ids in proptest::collection::vec(0u32..=u32::MAX, 0..20),
+            values in proptest::collection::vec(0u64..=u64::MAX, 1..8),
+            seed in 0u64..=u64::MAX,
+        ) {
+            let v = mixed_block(dense_ids, far_ids, values);
+            // Both encoders append to a non-empty buffer identically.
+            let (mut want, mut got) = (vec![0xAB], vec![0xAB]);
+            reference_write_ppv(&mut want, &v).unwrap();
+            write_ppv(&mut got, &v).unwrap();
+            prop_assert_eq!(&want, &got);
+            let bytes = &got[1..];
+            let max_id = v.iter().last().map_or(0, |(id, _)| u64::from(id));
+            // A valid block, under a roomy bound and under one the last id
+            // reaches.
+            decoders_agree(bytes, u64::MAX)?;
+            decoders_agree(bytes, max_id + 1)?;
+            decoders_agree(bytes, max_id)?;
+            let mut rng = seed;
+            for _ in 0..24 {
+                let mut bad = bytes.to_vec();
+                match splitmix(&mut rng) % 5 {
+                    // Random byte flips.
+                    0 => {
+                        for _ in 0..=splitmix(&mut rng) % 3 {
+                            let at = (splitmix(&mut rng) % bad.len() as u64) as usize;
+                            bad[at] ^= (splitmix(&mut rng) % 255 + 1) as u8;
+                        }
+                    }
+                    // One byte set to a varint edge: a zero gap, a one-byte
+                    // maximum, or a continuation that swallows what follows.
+                    1 => {
+                        let at = (splitmix(&mut rng) % bad.len() as u64) as usize;
+                        let edges = [0x00, 0x01, 0x7F, 0x80, 0xFF];
+                        bad[at] = edges[(splitmix(&mut rng) % 5) as usize];
+                    }
+                    // Truncation.
+                    2 => bad.truncate((splitmix(&mut rng) % bad.len() as u64) as usize),
+                    // A lying nnz, just off the truth or far past it.
+                    _ => {
+                        let nnz = v.nnz() as u64;
+                        let lie = match splitmix(&mut rng) % 3 {
+                            0 => nnz.saturating_sub(1 + splitmix(&mut rng) % 3),
+                            1 => nnz + 1 + splitmix(&mut rng) % 3,
+                            _ => splitmix(&mut rng) >> (splitmix(&mut rng) % 64),
+                        };
+                        let mut head = Cursor::new(&bad);
+                        head.varint().unwrap();
+                        let mut lied = Vec::new();
+                        write_varint(&mut lied, lie);
+                        lied.extend_from_slice(&bad[head.position()..]);
+                        bad = lied;
+                    }
+                }
+                decoders_agree(&bad, u64::MAX)?;
+                decoders_agree(&bad, max_id + 1)?;
+            }
         }
 
         #[test]

@@ -409,9 +409,9 @@ pub fn save_hgpa<W: Write>(index: &HgpaIndex, writer: W) -> io::Result<()> {
             write_varint(&mut hier, c as u64);
         }
         write_varint(&mut hier, node.members.len() as u64);
-        codec::write_ids_delta(&mut hier, &node.members)?;
+        codec::write_ids_delta(&mut hier, node.members.iter().copied())?;
         write_varint(&mut hier, node.hubs.len() as u64);
-        codec::write_ids_delta(&mut hier, &node.hubs)?;
+        codec::write_ids_delta(&mut hier, node.hubs.iter().copied())?;
     }
     write_varint(&mut hier, hierarchy.home.len() as u64);
     for &h in &hierarchy.home {

@@ -32,6 +32,17 @@ impl SparseVector {
         Self { entries }
     }
 
+    /// From entries whose ids are already strictly increasing — for a
+    /// caller that has proven the order (the PPV block decoder checks
+    /// every delta), so [`SparseVector::from_entries`]'s sort is skipped.
+    pub(crate) fn from_sorted_entries(entries: Vec<(NodeId, f64)>) -> Self {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "sparse vector ids not strictly increasing"
+        );
+        Self { entries }
+    }
+
     /// From a dense slice, keeping entries with `|value| > threshold`.
     /// Node ids are taken from `ids[i]` (pass `None` for identity).
     ///
@@ -136,22 +147,23 @@ impl SparseVector {
     }
 
     /// Sparsify a dense scratch filled by [`SparseVector::scatter_into`]:
-    /// sort/dedup `touched`, collect the non-zero entries, and reset both
-    /// scratches so the buffers can be reused for the next accumulation.
-    /// The one harvest shared by the coordinator sum, query sessions, and
-    /// the serving layer — keeping the zero-filtering semantics identical
-    /// across every path that must produce bit-identical vectors.
+    /// collect the non-zero entries in id order, and reset both scratches
+    /// (every slot to `+0.0`, the touch list to empty) so the buffers can
+    /// be reused for the next accumulation. The one harvest shared by the
+    /// coordinator sum, query sessions, and the serving layer — keeping
+    /// the zero-filtering semantics identical across every path that must
+    /// produce bit-identical vectors.
+    ///
+    /// When the touch list covers at least `1 / HARVEST_SCAN_RATIO` of the
+    /// arena, the arena is scanned in id order instead of sorting the
+    /// touch list. Every untouched slot is zero (the [`Scratch`]
+    /// invariant), so both ways yield the same entries in the same order.
     pub fn harvest_scratch(dense: &mut [f64], touched: &mut Vec<NodeId>) -> SparseVector {
-        touched.sort_unstable();
-        touched.dedup();
-        let mut entries = Vec::with_capacity(touched.len());
-        for &v in touched.iter() {
-            let x = dense[v as usize];
-            if x != 0.0 {
-                entries.push((v, x));
-            }
-            dense[v as usize] = 0.0;
-        }
+        let entries = if touched.len().saturating_mul(HARVEST_SCAN_RATIO) >= dense.len() {
+            harvest_by_scan(dense, touched.len())
+        } else {
+            harvest_by_sort(dense, touched)
+        };
         touched.clear();
         SparseVector { entries }
     }
@@ -285,6 +297,51 @@ impl SparseVector {
     }
 }
 
+/// The harvest scans the whole arena once the touch list holds at least
+/// one slot in `HARVEST_SCAN_RATIO`. Measured on a 2-core x86-64 host
+/// over arenas of 20 000 and 200 000 slots, the scan beats the sort from
+/// about one touch in 12 upward (1.3–2.2× at one in 8, 5–6× at one in 2),
+/// and the sort wins below; 8 keeps a margin on the scan's side.
+const HARVEST_SCAN_RATIO: usize = 8;
+
+/// Harvest by sorting the touch list: cost follows the touches.
+fn harvest_by_sort(dense: &mut [f64], touched: &mut Vec<NodeId>) -> Vec<(NodeId, f64)> {
+    touched.sort_unstable();
+    touched.dedup();
+    let mut entries = Vec::with_capacity(touched.len());
+    for &v in touched.iter() {
+        let x = dense[v as usize];
+        if x != 0.0 {
+            entries.push((v, x));
+        }
+        dense[v as usize] = 0.0;
+    }
+    entries
+}
+
+/// Harvest by scanning the arena in id order: cost follows the arena.
+/// Only touched slots can be non-zero, so `touches` (duplicates
+/// included) bounds the entry count. The loop has no data-dependent
+/// branch: every slot is written into the next free entry, which is
+/// kept only when the slot is non-zero, and every slot is reset to
+/// `+0.0` — a `-0.0` slot yields no entry, as in the sort harvest.
+fn harvest_by_scan(dense: &mut [f64], touches: usize) -> Vec<(NodeId, f64)> {
+    let bound = touches.min(dense.len());
+    // One spare entry absorbs the write that follows the last non-zero.
+    let mut entries = vec![(0, 0.0); bound + 1];
+    let mut len = 0;
+    for (id, slot) in (0..).zip(dense.iter_mut()) {
+        let x = *slot;
+        if let Some(e) = entries.get_mut(len) {
+            *e = (id, x);
+        }
+        len += usize::from(x != 0.0);
+        *slot = 0.0;
+    }
+    entries.truncate(len.min(bound));
+    entries
+}
+
 /// A reusable dense-accumulation arena: one zeroed dense buffer plus its
 /// touch list, the pair every harvesting path in the workspace threads
 /// through [`SparseVector::scatter_into`] / [`SparseVector::harvest_scratch`].
@@ -362,6 +419,7 @@ impl FromIterator<(NodeId, f64)> for SparseVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn from_dense_thresholds() {
@@ -456,6 +514,111 @@ mod tests {
         assert_eq!(v.l_inf(), 0.5);
         assert_eq!(v.wire_bytes(), 8 + 24);
         assert_eq!(SparseVector::new().wire_bytes(), 8);
+    }
+
+    /// One accumulation step: scatter a vector (the
+    /// [`SparseVector::scatter_into`] path), or overwrite one slot
+    /// through the [`Scratch::parts`] contract (record the first touch),
+    /// which is the only way a slot can come to hold `-0.0`.
+    #[derive(Debug)]
+    enum Step {
+        Scatter(Vec<(NodeId, f64)>, f64),
+        Write(NodeId, f64),
+    }
+
+    /// Values whose sums cancel to `+0.0`, stay `-0.0`, or carry NaN
+    /// payloads, besides plain magnitudes.
+    fn tricky_value(pick: u64, bits: u64) -> f64 {
+        match pick % 8 {
+            0 => 0.5,
+            1 => -0.5,
+            2 => 0.25,
+            3 => -0.0,
+            4 => 0.0,
+            5 => f64::from_bits(0x7FF8_0000_0000_0000 | (bits & 0xF_FFFF_FFFF)),
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    fn accumulate(n: usize, steps: &[Step]) -> (Vec<f64>, Vec<NodeId>) {
+        let mut dense = vec![0.0; n];
+        let mut touched = Vec::new();
+        for step in steps {
+            match step {
+                Step::Scatter(entries, scale) => {
+                    let mut entries = entries.clone();
+                    entries.sort_unstable_by_key(|e| e.0);
+                    entries.dedup_by_key(|e| e.0);
+                    SparseVector { entries }.scatter_into(&mut dense, &mut touched, *scale);
+                }
+                Step::Write(id, x) => {
+                    let slot = &mut dense[*id as usize];
+                    if *slot == 0.0 {
+                        touched.push(*id);
+                    }
+                    *slot = *x;
+                }
+            }
+        }
+        (dense, touched)
+    }
+
+    fn step_strategy(n: u32) -> impl Strategy<Value = Step> {
+        let value = (0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(|(p, b)| tricky_value(p, b));
+        let entries = proptest::collection::vec((0..n, value), 0..(n as usize * 2));
+        let scale = (0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(|(p, b)| tricky_value(p, b));
+        (0u8..4, entries, scale, 0..n, (0u64..=u64::MAX, 0u64..=u64::MAX)).prop_map(
+            |(kind, entries, scale, id, (p, b))| {
+                if kind == 0 {
+                    Step::Write(id, tricky_value(p, b))
+                } else {
+                    Step::Scatter(entries, if kind == 1 { -1.0 } else { scale })
+                }
+            },
+        )
+    }
+
+    fn entry_bits(entries: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+        entries.iter().map(|&(i, x)| (i, x.to_bits())).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn scan_harvest_equals_sort_harvest(
+            steps in (1u32..160).prop_flat_map(|n| {
+                (proptest::strategy::Just(n), proptest::collection::vec(step_strategy(n), 0..6))
+            }),
+            extra in 0usize..400,
+        ) {
+            // `extra` untouched slots put the touch share on both sides of
+            // the scan threshold.
+            let (n, steps) = steps;
+            let (dense, touched) = accumulate(n as usize + extra, &steps);
+            let (mut d_sort, mut t_sort) = (dense.clone(), touched.clone());
+            let by_sort = harvest_by_sort(&mut d_sort, &mut t_sort);
+            let mut d_scan = dense.clone();
+            let by_scan = harvest_by_scan(&mut d_scan, touched.len());
+            let (mut d_pub, mut t_pub) = (dense, touched);
+            let by_pub = SparseVector::harvest_scratch(&mut d_pub, &mut t_pub);
+            prop_assert_eq!(entry_bits(&by_sort), entry_bits(&by_scan));
+            prop_assert_eq!(entry_bits(&by_sort), entry_bits(&by_pub.entries));
+            for d in [&d_sort, &d_scan, &d_pub] {
+                prop_assert!(d.iter().all(|x| x.to_bits() == 0), "arena not all +0.0");
+            }
+            prop_assert!(t_pub.is_empty());
+        }
+    }
+
+    #[test]
+    fn harvest_resets_negative_zero_on_both_paths() {
+        for extra in [0, 100] {
+            let steps = [Step::Write(1, -0.0), Step::Write(2, 0.75)];
+            let (mut dense, mut touched) = accumulate(3 + extra, &steps);
+            let v = SparseVector::harvest_scratch(&mut dense, &mut touched);
+            assert_eq!(entry_bits(&v.entries), vec![(2, 0.75f64.to_bits())]);
+            assert!(dense.iter().all(|x| x.to_bits() == 0));
+            assert!(touched.is_empty());
+        }
     }
 
     #[test]

@@ -359,18 +359,25 @@ mod tests {
     #[test]
     fn leaves_have_no_internal_edges_without_depth_cap() {
         let g = sample(200);
+        // `max_leaf_size: 0` splits until the leaves are edge-free (§4.2):
+        // only a leaf too small to split may stop early.
         let cfg = HierarchyConfig {
             min_members: 2,
+            max_leaf_size: 0,
             ..Default::default()
         };
         let h = Hierarchy::build(&g, &cfg);
         for leaf in h.leaves() {
             let members = &h.nodes[leaf].members;
             if members.len() < cfg.min_members {
-                continue; // stopped by size, may retain edges
+                continue; // stopped by size, may retain a self-loop
             }
-            // Leaves may retain internal edges only when the split was
-            // degenerate; the common case is edge-free.
+            assert_eq!(
+                count_internal_edges(&g, members),
+                0,
+                "leaf {leaf} with {} members keeps internal edges",
+                members.len()
+            );
         }
         // Structural sanity: there is at least one leaf and depth >= 1.
         assert!(h.leaves().count() >= 2);

@@ -275,7 +275,7 @@ fn encode_payload(msg: &Message, buf: &mut Vec<u8>) -> Result<()> {
                 write_varint(buf, neighbors.len() as u64);
                 // CSR adjacency is sorted-distinct by construction, so
                 // the delta encoder's monotonicity check always passes.
-                write_ids_delta(buf, neighbors)?;
+                write_ids_delta(buf, neighbors.iter().copied())?;
             }
         }
         Message::Request { round, sources } => {
@@ -361,18 +361,19 @@ fn encode_payload(msg: &Message, buf: &mut Vec<u8>) -> Result<()> {
 /// (e.g. a reply vector with non-monotone ids) — malformed *input* is
 /// the decoder's concern.
 pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
-    let mut payload = Vec::new();
-    encode_payload(msg, &mut payload)?;
-    if payload.len() as u64 > u64::from(u32::MAX) {
+    // The payload is written in place behind a header slot, which is
+    // filled in once the payload's length and CRC are known.
+    const HEADER: usize = FRAME_HEADER_BYTES as usize;
+    let mut frame = vec![0u8; HEADER];
+    encode_payload(msg, &mut frame)?;
+    let Ok(payload_len) = u32::try_from(frame.len() - HEADER) else {
         return err("frame payload exceeds the u32 length field");
-    }
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + payload.len());
-    frame.extend_from_slice(&FRAME_MAGIC);
-    frame.push(msg.frame_type());
-    // audit:allow(lossy-id-cast): length checked against u32::MAX above
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32_tagged(msg.frame_type(), &payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    };
+    let crc = crc32_tagged(msg.frame_type(), &frame[HEADER..]);
+    frame[0..4].copy_from_slice(&FRAME_MAGIC);
+    frame[4] = msg.frame_type();
+    frame[5..9].copy_from_slice(&payload_len.to_le_bytes());
+    frame[9..HEADER].copy_from_slice(&crc.to_le_bytes());
     Ok(frame)
 }
 
