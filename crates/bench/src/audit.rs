@@ -108,6 +108,68 @@ pub fn baseline_regressions(
     problems
 }
 
+/// Notes on ledger findings whose recorded `line` no longer matches the
+/// live audit. Ledger and live suppressed findings are grouped by
+/// (file, rule, justification) and paired in line order within each
+/// group; a pair on different lines is reported as moved, and a ledger
+/// finding left without a live partner as gone. Line numbers drift
+/// whenever code above an annotation moves, so these are notes for
+/// refreshing `AUDIT_baseline.json`, not gate failures.
+pub fn ledger_line_drift(doc: &Json, report: &AuditReport) -> Result<Vec<String>, String> {
+    type Group = (String, String, String);
+    let mut ledger: BTreeMap<Group, Vec<u32>> = BTreeMap::new();
+    let entries = doc
+        .get("findings")
+        .and_then(Json::as_array)
+        .ok_or("missing findings array")?;
+    for entry in entries {
+        let Some(reason) = entry.get("allowed").and_then(Json::as_str) else {
+            continue;
+        };
+        let field = |key: &str| {
+            entry
+                .get(key)
+                .ok_or(format!("ledger finding missing {key}"))
+        };
+        let file = field("file")?
+            .as_str()
+            .ok_or("ledger finding file is not a string")?;
+        let rule = field("rule")?
+            .as_str()
+            .ok_or("ledger finding rule is not a string")?;
+        let line = field("line")?
+            .as_f64()
+            .ok_or("ledger finding line is not a number")?;
+        ledger
+            .entry((file.to_string(), rule.to_string(), reason.to_string()))
+            .or_default()
+            .push(line as u32);
+    }
+    let mut live: BTreeMap<Group, Vec<u32>> = BTreeMap::new();
+    for f in report.allowed() {
+        let reason = f.allowed.clone().unwrap_or_default();
+        live.entry((f.path.clone(), f.rule.clone(), reason))
+            .or_default()
+            .push(f.line);
+    }
+    let mut notes = Vec::new();
+    for ((file, rule, reason), mut lines) in ledger {
+        let mut now = live
+            .remove(&(file.clone(), rule.clone(), reason))
+            .unwrap_or_default();
+        lines.sort_unstable();
+        now.sort_unstable();
+        for (i, line) in lines.into_iter().enumerate() {
+            match now.get(i) {
+                Some(&at) if at == line => {}
+                Some(&at) => notes.push(format!("{file}:{line} ({rule}) is now at line {at}")),
+                None => notes.push(format!("{file}:{line} ({rule}) is no longer found")),
+            }
+        }
+    }
+    Ok(notes)
+}
+
 /// Run `repro audit [--json <path>] [--baseline <path>]`. Returns the
 /// process exit code.
 pub fn run(json_out: Option<&Path>, baseline_path: Option<&Path>) -> i32 {
@@ -178,6 +240,14 @@ pub fn run(json_out: Option<&Path>, baseline_path: Option<&Path>) -> i32 {
             }
             exit = exit.max(1);
         }
+        match ledger_line_drift(&doc, &report) {
+            Ok(notes) => {
+                for n in &notes {
+                    println!("baseline: note: ledger finding {n}; refresh its line");
+                }
+            }
+            Err(e) => println!("baseline: note: cannot compare ledger lines: {e}"),
+        }
     }
     exit
 }
@@ -243,6 +313,41 @@ mod tests {
         let mut new_site = baseline.clone();
         new_site.insert(("b.rs".into(), "serve-panic".into()), 1);
         assert_eq!(baseline_regressions(&baseline, &new_site).len(), 1);
+    }
+
+    #[test]
+    fn ledger_line_drift_names_moved_and_vanished_findings() {
+        let r = sample_report();
+        // The report's own document: nothing drifted.
+        assert!(ledger_line_drift(&report_to_json(&r), &r)
+            .unwrap()
+            .is_empty());
+
+        let ledger = |line: u32, extra: bool| {
+            let mut findings = vec![obj([
+                ("file", Json::Str("crates/x/src/lib.rs".into())),
+                ("line", Json::Num(f64::from(line))),
+                ("rule", Json::Str("hash-iter".into())),
+                ("allowed", Json::Str("lookup only".into())),
+            ])];
+            if extra {
+                // Same group, a second site the live code no longer has.
+                findings.push(findings[0].clone());
+            }
+            obj([("findings", Json::Arr(findings))])
+        };
+        let moved = ledger_line_drift(&ledger(7, false), &r).unwrap();
+        assert_eq!(
+            moved,
+            vec!["crates/x/src/lib.rs:7 (hash-iter) is now at line 10"]
+        );
+        let gone = ledger_line_drift(&ledger(10, true), &r).unwrap();
+        assert_eq!(
+            gone,
+            vec!["crates/x/src/lib.rs:10 (hash-iter) is no longer found"]
+        );
+        // A document without a findings array.
+        assert!(ledger_line_drift(&Json::Null, &r).is_err());
     }
 
     #[test]

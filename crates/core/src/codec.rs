@@ -36,15 +36,18 @@
 //! * **Varints:** [`write_varint`] and [`Cursor::varint`] take a
 //!   one-byte fast path for values below 128 — most id gaps — and fall
 //!   back to the full LEB128 loop, overflow checks included, otherwise.
-//! * **PPV blocks:** [`write_ppv`] streams the ids straight into the gap
-//!   encoder and writes the values in one pass; [`read_ppv`] validates
-//!   the id chain as it reads (no zero gap, no overflow, every id below
-//!   the bound), reads the values in one `chunks_exact(8)` pass, and
-//!   keeps the entries in read order — already strictly increasing, so
-//!   there is no re-sort. The length is still validated with
-//!   [`Cursor::checked_len`] before anything is allocated. The tests pin
-//!   both functions against per-entry reference implementations, on
-//!   valid and on corrupted input.
+//! * **PPV blocks:** a [`SparseVector`] stores its ids and values as two
+//!   arrays, and the codec uses them as they are. [`write_ppv`] streams
+//!   the id array straight into the gap encoder and writes the value
+//!   array in one pass; [`read_ppv`] decodes the ids with the checked
+//!   [`read_ids_delta`] (no zero gap, no overflow, every id below the
+//!   bound), reads the value block in one `chunks_exact(8)` pass straight
+//!   into the value array, and keeps the ids in read order — already
+//!   strictly increasing, so there is no re-sort. The length is still
+//!   validated with [`Cursor::checked_len`] before anything is
+//!   allocated. The tests pin both functions against per-entry
+//!   `(id, value)` reference implementations, on valid and on corrupted
+//!   input.
 
 use crate::SparseVector;
 use ppr_graph::NodeId;
@@ -343,33 +346,27 @@ pub fn write_ids_delta(buf: &mut Vec<u8>, ids: impl IntoIterator<Item = NodeId>)
     Ok(())
 }
 
-/// Read the next id of a delta chain — the first id raw, each later one
-/// as a non-zero gap from `prev` — rejecting a duplicate, an overflow,
-/// or an id at or past `bound`.
-#[inline]
-fn read_delta_id(cur: &mut Cursor<'_>, prev: Option<NodeId>, bound: u64) -> Result<NodeId> {
-    let v = cur.varint()?;
-    let id = match prev {
-        None => v,
-        Some(_) if v == 0 => return err("zero delta in id sequence (duplicate id)"),
-        Some(p) => match u64::from(p).checked_add(v) {
-            Some(id) => id,
-            None => return err("id delta overflows u64"),
-        },
-    };
-    if id >= bound {
-        return err(format!("id {id} out of bounds (node count {bound})"));
-    }
-    NodeId::try_from(id).map_err(|_| CodecError::new(format!("id {id} exceeds NodeId range")))
-}
-
-/// Decode `count` delta-varint ids, enforcing strict monotonicity and
-/// `id < bound` throughout. Inverse of [`write_ids_delta`].
+/// Decode `count` delta-varint ids — the first id raw, each later one as
+/// a non-zero gap from its predecessor — rejecting a duplicate, an
+/// overflow, or an id at or past `bound`. Inverse of [`write_ids_delta`].
 pub fn read_ids_delta(cur: &mut Cursor<'_>, count: usize, bound: u64) -> Result<Vec<NodeId>> {
     let mut ids = Vec::with_capacity(count);
-    let mut prev = None;
+    let mut prev: Option<NodeId> = None;
     for _ in 0..count {
-        let id = read_delta_id(cur, prev, bound)?;
+        let v = cur.varint()?;
+        let id = match prev {
+            None => v,
+            Some(_) if v == 0 => return err("zero delta in id sequence (duplicate id)"),
+            Some(p) => match u64::from(p).checked_add(v) {
+                Some(id) => id,
+                None => return err("id delta overflows u64"),
+            },
+        };
+        if id >= bound {
+            return err(format!("id {id} out of bounds (node count {bound})"));
+        }
+        let id = NodeId::try_from(id)
+            .map_err(|_| CodecError::new(format!("id {id} exceeds NodeId range")))?;
         ids.push(id);
         prev = Some(id);
     }
@@ -386,10 +383,10 @@ pub fn write_ppv(buf: &mut Vec<u8>, v: &SparseVector) -> Result<()> {
     write_varint(buf, nnz as u64);
     // One id byte and eight value bytes per entry at least.
     buf.reserve(9 * nnz);
-    write_ids_delta(buf, v.iter().map(|(id, _)| id))?;
+    write_ids_delta(buf, v.ids().iter().copied())?;
     let values_at = buf.len();
     buf.resize(values_at + 8 * nnz, 0);
-    for (out, (_, x)) in buf[values_at..].chunks_exact_mut(8).zip(v.iter()) {
+    for (out, x) in buf[values_at..].chunks_exact_mut(8).zip(v.vals()) {
         out.copy_from_slice(&x.to_bits().to_le_bytes());
     }
     Ok(())
@@ -398,27 +395,25 @@ pub fn write_ppv(buf: &mut Vec<u8>, v: &SparseVector) -> Result<()> {
 /// Decode a PPV block written by [`write_ppv`]. Entries come back with
 /// the exact bit patterns that went in; `bound` caps the id space.
 ///
-/// The id chain is checked as it is read (no zero gap, no overflow,
-/// every id below `bound`), so the entries are already strictly
-/// increasing and are kept in read order without a re-sort.
+/// The id chain is checked as it is read by [`read_ids_delta`] (no zero
+/// gap, no overflow, every id below `bound`), so the ids are already
+/// strictly increasing and are kept in read order without a re-sort; the
+/// value block is read in one pass straight into the value array.
 pub fn read_ppv(cur: &mut Cursor<'_>, bound: u64) -> Result<SparseVector> {
     // Each entry costs >= 1 id byte + 8 magnitude bytes.
     let nnz = cur.checked_len(9)?;
-    let mut entries: Vec<(NodeId, f64)> = Vec::with_capacity(nnz);
-    let mut prev = None;
-    for _ in 0..nnz {
-        let id = read_delta_id(cur, prev, bound)?;
-        entries.push((id, 0.0));
-        prev = Some(id);
-    }
+    let ids = read_ids_delta(cur, nnz, bound)?;
     // `nnz <= remaining / 9`, so the product cannot overflow.
-    let values = cur.take(8 * nnz)?;
-    for (e, b) in entries.iter_mut().zip(values.chunks_exact(8)) {
-        e.1 = f64::from_bits(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]));
-    }
-    Ok(SparseVector::from_sorted_entries(entries))
+    let vals = cur
+        .take(8 * nnz)?
+        .chunks_exact(8)
+        .map(|b| {
+            f64::from_bits(u64::from_le_bytes([
+                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+            ]))
+        })
+        .collect();
+    Ok(SparseVector::from_sorted_parts(ids, vals))
 }
 
 #[cfg(test)]
@@ -583,11 +578,12 @@ mod tests {
         !c
     }
 
-    /// Per-entry PPV block encoder, the reference for [`write_ppv`]: a
-    /// temporary id `Vec`, a gap loop, and one append per value.
-    fn reference_write_ppv(buf: &mut Vec<u8>, v: &SparseVector) -> Result<()> {
-        write_varint(buf, v.nnz() as u64);
-        let ids: Vec<NodeId> = v.iter().map(|(id, _)| id).collect();
+    /// Per-entry PPV block encoder over `(id, value)` pairs, the
+    /// reference for [`write_ppv`]: a temporary id `Vec`, a gap loop, and
+    /// one append per value.
+    fn reference_write_ppv(buf: &mut Vec<u8>, entries: &[(NodeId, f64)]) -> Result<()> {
+        write_varint(buf, entries.len() as u64);
+        let ids: Vec<NodeId> = entries.iter().map(|&(id, _)| id).collect();
         let mut prev: Option<NodeId> = None;
         for &id in &ids {
             match prev {
@@ -601,16 +597,16 @@ mod tests {
             }
             prev = Some(id);
         }
-        for (_, x) in v.iter() {
+        for &(_, x) in entries {
             buf.extend_from_slice(&x.to_bits().to_le_bytes());
         }
         Ok(())
     }
 
-    /// Per-entry PPV block decoder, the reference for [`read_ppv`]: ids
-    /// into a temporary `Vec`, one bounds-checked read per value, then a
-    /// sort.
-    fn reference_read_ppv(cur: &mut Cursor<'_>, bound: u64) -> Result<SparseVector> {
+    /// Per-entry PPV block decoder into `(id, value)` pairs, the
+    /// reference for [`read_ppv`]: ids into a temporary `Vec`, one
+    /// bounds-checked read per value, then a sort.
+    fn reference_read_ppv(cur: &mut Cursor<'_>, bound: u64) -> Result<Vec<(NodeId, f64)>> {
         let nnz = cur.checked_len(9)?;
         let mut ids = Vec::with_capacity(nnz);
         let mut acc = 0u64;
@@ -639,11 +635,16 @@ mod tests {
         for id in ids {
             entries.push((id, cur.f64_bits()?));
         }
-        Ok(SparseVector::from_entries(entries))
+        entries.sort_unstable_by_key(|e| e.0);
+        Ok(entries)
     }
 
     fn bits(v: &SparseVector) -> Vec<(u32, u64)> {
         v.iter().map(|(i, x)| (i, x.to_bits())).collect()
+    }
+
+    fn entry_bits(entries: &[(NodeId, f64)]) -> Vec<(u32, u64)> {
+        entries.iter().map(|&(i, x)| (i, x.to_bits())).collect()
     }
 
     /// SplitMix64: the corruption tests derive their flips from one seed.
@@ -656,17 +657,33 @@ mod tests {
     }
 
     /// A valid block mixing one-byte gaps (a dense cluster) with
-    /// multi-byte gaps (ids spread over the whole `u32` range).
-    fn mixed_block(dense_ids: Vec<u32>, far_ids: Vec<u32>, values: Vec<u64>) -> SparseVector {
+    /// multi-byte gaps (ids spread over the whole `u32` range), as
+    /// `(id, value)` pairs. Every other value slot is drawn from `-0.0`,
+    /// `+0.0` and a NaN with payload, besides arbitrary bit patterns.
+    fn mixed_block(dense_ids: Vec<u32>, far_ids: Vec<u32>, values: Vec<u64>) -> Vec<(NodeId, f64)> {
         let mut ids: Vec<u32> = dense_ids.into_iter().chain(far_ids).collect();
         ids.sort_unstable();
         ids.dedup();
-        SparseVector::from_entries(
-            ids.into_iter()
-                .zip(values.into_iter().cycle())
-                .map(|(id, bits)| (id, f64::from_bits(bits)))
-                .collect(),
-        )
+        let special = |bits: u64| match bits % 6 {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::from_bits(0x7FF8_0000_0000_0000 | (bits >> 20)),
+            _ => f64::from_bits(bits),
+        };
+        ids.into_iter()
+            .zip(values.into_iter().cycle())
+            .enumerate()
+            .map(|(i, (id, bits))| {
+                (
+                    id,
+                    if i % 2 == 0 {
+                        special(bits)
+                    } else {
+                        f64::from_bits(bits)
+                    },
+                )
+            })
+            .collect()
     }
 
     /// Decode `bytes` with both decoders: they must agree on `Err`, and
@@ -675,7 +692,7 @@ mod tests {
         let (mut a, mut b) = (Cursor::new(bytes), Cursor::new(bytes));
         match (reference_read_ppv(&mut a, bound), read_ppv(&mut b, bound)) {
             (Ok(x), Ok(y)) => {
-                if bits(&x) != bits(&y) || a.position() != b.position() {
+                if entry_bits(&x) != bits(&y) || a.position() != b.position() {
                     return Err(format!("decoders disagree on {bytes:?}"));
                 }
             }
@@ -779,14 +796,15 @@ mod tests {
             values in proptest::collection::vec(0u64..=u64::MAX, 1..8),
             seed in 0u64..=u64::MAX,
         ) {
-            let v = mixed_block(dense_ids, far_ids, values);
+            let entries = mixed_block(dense_ids, far_ids, values);
+            let v = SparseVector::from_entries(entries.clone());
             // Both encoders append to a non-empty buffer identically.
             let (mut want, mut got) = (vec![0xAB], vec![0xAB]);
-            reference_write_ppv(&mut want, &v).unwrap();
+            reference_write_ppv(&mut want, &entries).unwrap();
             write_ppv(&mut got, &v).unwrap();
             prop_assert_eq!(&want, &got);
             let bytes = &got[1..];
-            let max_id = v.iter().last().map_or(0, |(id, _)| u64::from(id));
+            let max_id = entries.last().map_or(0, |&(id, _)| u64::from(id));
             // A valid block, under a roomy bound and under one the last id
             // reaches.
             decoders_agree(bytes, u64::MAX)?;

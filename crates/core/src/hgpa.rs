@@ -780,9 +780,10 @@ impl QuerySession<'_> {
     }
 }
 
-/// Map a view-local sparse vector to global ids.
-pub(crate) fn map_to_global(v: &SparseVector, view: &ppr_graph::SubView) -> SparseVector {
-    SparseVector::from_entries(v.iter().map(|(l, x)| (view.global_of(l), x)).collect())
+/// Map a view-local sparse vector to global ids, in place: a view's
+/// globals ascend with its local ids, so the id order survives.
+pub(crate) fn map_to_global(v: SparseVector, view: &ppr_graph::SubView) -> SparseVector {
+    v.map_ids_monotone(|l| view.global_of(l))
 }
 
 /// Reusable per-worker state for the build fan-out: engines grow to the
@@ -848,7 +849,7 @@ fn run_item(
                 let res = w.push.run(&view, local as NodeId, &no_block, cfg);
                 out.stats.partial_pushes += res.pushes;
                 out.stats.leaf_vectors += 1;
-                out.bases.push((global, map_to_global(&res.partial, &view)));
+                out.bases.push((global, map_to_global(res.partial, &view)));
             }
         }
         BuildItem::HubSlice {
@@ -868,12 +869,12 @@ fn run_item(
                 let lh = view.local_of(h).expect("hub is a member");
                 let res = w.push.run(&view, lh, &blocked, cfg);
                 out.stats.partial_pushes += res.pushes;
-                out.bases.push((h, map_to_global(&res.partial, &view)));
+                out.bases.push((h, map_to_global(res.partial, &view)));
 
                 let col = w.skel.run(&view, lh, cfg);
                 out.stats.skeleton_columns += 1;
                 out.skeletons
-                    .push((rank_base + pos as u32, map_to_global(&col, &view)));
+                    .push((rank_base + pos as u32, map_to_global(col, &view)));
             }
         }
     }

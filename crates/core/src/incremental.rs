@@ -620,11 +620,11 @@ impl Plan {
                 let item = &self.items[i];
                 let PlannedView { view, blocked } = &self.views[item.view];
                 let base = item.base.then(|| {
-                    map_to_global(&push.run(view, item.local, blocked, cfg).partial, view)
+                    map_to_global(push.run(view, item.local, blocked, cfg).partial, view)
                 });
                 let column = item
                     .column
-                    .then(|| map_to_global(&skel.run(view, item.local, cfg), view));
+                    .then(|| map_to_global(skel.run(view, item.local, cfg), view));
                 (base, column)
             },
         );

@@ -134,17 +134,28 @@ impl PushEngine {
             }
         }
 
-        // Harvest and reset scratch.
-        let mut partial_entries = Vec::new();
-        let mut residual_entries = Vec::new();
+        // Harvest in id order and reset scratch. Sorting the touch list
+        // writes both vectors' arrays directly in order; survivors are
+        // counted first so each array is allocated exactly once. (A
+        // duplicate touch — possible only when `α·mass` underflows —
+        // is dropped by the dedup, as the read-then-reset loop did.)
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        let (mut partial_nnz, mut residual_nnz) = (0, 0);
+        for &v in &self.touched {
+            partial_nnz += usize::from(self.d[v as usize] != 0.0);
+            residual_nnz += usize::from(self.e[v as usize] != 0.0 && blocked[v as usize]);
+        }
+        let mut partial = SparseVector::with_capacity(partial_nnz);
+        let mut hub_residual = SparseVector::with_capacity(residual_nnz);
         for &v in &self.touched {
             let dv = self.d[v as usize];
             if dv != 0.0 {
-                partial_entries.push((v, dv));
+                partial.push_sorted(v, dv);
             }
             let ev = self.e[v as usize];
             if ev != 0.0 && blocked[v as usize] {
-                residual_entries.push((v, ev));
+                hub_residual.push_sorted(v, ev);
             }
             self.d[v as usize] = 0.0;
             self.e[v as usize] = 0.0;
@@ -153,8 +164,8 @@ impl PushEngine {
         self.queue.clear();
 
         PushOutcome {
-            partial: SparseVector::from_entries(partial_entries),
-            hub_residual: SparseVector::from_entries(residual_entries),
+            partial,
+            hub_residual,
             pushes,
         }
     }

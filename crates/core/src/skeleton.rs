@@ -143,18 +143,27 @@ impl SkeletonEngine {
             }
         }
 
-        let mut entries = Vec::new();
+        // Harvest in id order, counted first so both arrays are
+        // allocated exactly once, and reset scratch.
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        let nnz = self
+            .touched
+            .iter()
+            .filter(|&&v| self.p[v as usize] != 0.0)
+            .count();
+        let mut column = SparseVector::with_capacity(nnz);
         for &v in &self.touched {
             let val = self.p[v as usize];
             if val != 0.0 {
-                entries.push((v, val));
+                column.push_sorted(v, val);
             }
             self.p[v as usize] = 0.0;
             self.r[v as usize] = 0.0;
         }
         self.touched.clear();
         self.queue.clear();
-        SparseVector::from_entries(entries)
+        column
     }
 }
 
