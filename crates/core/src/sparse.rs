@@ -91,11 +91,6 @@ impl SparseVector {
         Self { ids, vals }
     }
 
-    /// Release spare capacity left by a producer that sized for a bound.
-    fn shrunk(self) -> Self {
-        Self::from_sorted_parts(self.ids, self.vals)
-    }
-
     /// From unsorted entries; ids must be distinct.
     pub fn from_entries(mut entries: Vec<(NodeId, f64)>) -> Self {
         entries.sort_unstable_by_key(|e| e.0);
@@ -220,7 +215,7 @@ impl SparseVector {
         out.vals.extend_from_slice(&self.vals[i..]);
         out.ids.extend_from_slice(&other.ids[j..]);
         out.vals.extend(other.vals[j..].iter().map(|&v| scale * v));
-        out.shrunk()
+        SparseVector::from_sorted_parts(out.ids, out.vals)
     }
 
     /// Accumulate `scale * self` into a dense buffer, recording first
@@ -351,7 +346,8 @@ impl SparseVector {
             }
         }
 
-        let mut out: Vec<(NodeId, f64)> = heap.into_iter().map(|Reverse(r)| (r.0, r.1)).collect();
+        let mut out: Vec<(NodeId, f64)> =
+            heap.into_iter().map(|Reverse(r)| (r.0, r.1)).collect();
         out.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         out
     }
@@ -415,7 +411,7 @@ fn harvest_by_sort(dense: &mut [f64], touched: &mut Vec<NodeId>) -> SparseVector
         }
         dense[v as usize] = 0.0;
     }
-    out.shrunk()
+    SparseVector::from_sorted_parts(out.ids, out.vals)
 }
 
 /// Harvest by scanning the arena in id order: cost follows the arena.
